@@ -1,10 +1,9 @@
 // Command attribution-server is Fair-CO2's query daemon: a long-lived
 // HTTP service that answers per-tenant attribution, share and billing
 // queries over one configured schedule. Expensive Shapley computations
-// are amortized behind a sharded result cache, request coalescing (N
-// concurrent identical queries cost one computation) and batched
-// evaluation (queries inside a small window merge into one attribution
-// call), so the service survives dashboard fan-out and scrape storms.
+// are amortized behind a sharded result cache and request coalescing (N
+// concurrent identical queries cost one computation), so the service
+// survives dashboard fan-out and scrape storms.
 //
 //	GET /v1/attribution?method=fair-co2&period=0:6&tenant=3
 //	GET /v1/share?period=0:6
@@ -90,7 +89,6 @@ type daemonConfig struct {
 	// Serving knobs, forwarded to attrserver.Config.
 	CacheBytes    int64
 	CacheTTL      time.Duration
-	BatchWindow   time.Duration
 	QueryTimeout  time.Duration
 	PricePerTonne float64
 
@@ -127,7 +125,6 @@ func defaultDaemonConfig() daemonConfig {
 		Delta:            def.EnableDelta,
 		CacheBytes:       def.CacheBytes,
 		CacheTTL:         def.CacheTTL,
-		BatchWindow:      def.BatchWindow,
 		QueryTimeout:     def.QueryTimeout,
 		PricePerTonne:    def.PricePerTonne,
 		SignalResilience: resilience.DefaultConfig(),
@@ -189,7 +186,6 @@ func buildServer(cfg daemonConfig, reg *metrics.Registry) (*attrserver.Server, *
 	scfg.EnableDelta = cfg.Delta
 	scfg.CacheBytes = cfg.CacheBytes
 	scfg.CacheTTL = cfg.CacheTTL
-	scfg.BatchWindow = cfg.BatchWindow
 	scfg.QueryTimeout = cfg.QueryTimeout
 	scfg.PricePerTonne = cfg.PricePerTonne
 	scfg.Replica = cfg.Cluster.ReplicaID
@@ -238,7 +234,6 @@ func main() {
 		deltaOn  = flag.Bool("delta", def.Delta, "serve POST /v1/demand/delta what-if and commit queries via the incremental delta engines")
 		cacheB   = flag.Int64("cache-bytes", def.CacheBytes, "result cache byte budget")
 		cacheTTL = flag.Duration("cache-ttl", def.CacheTTL, "result lifetime (fresh signal or static budget)")
-		window   = flag.Duration("batch-window", def.BatchWindow, "batching window gathering queries into one computation")
 		qTimeout = flag.Duration("query-timeout", def.QueryTimeout, "per-query timeout")
 		price    = flag.Float64("price-per-tonne", def.PricePerTonne, "billing price in USD per tonne CO2e")
 		sigURL   = flag.String("signal-url", def.SignalURL, "base URL of a remote signal server (empty = static budget)")
@@ -291,7 +286,6 @@ func main() {
 	cfg.Delta = *deltaOn
 	cfg.CacheBytes = *cacheB
 	cfg.CacheTTL = *cacheTTL
-	cfg.BatchWindow = *window
 	cfg.QueryTimeout = *qTimeout
 	cfg.PricePerTonne = *price
 	cfg.SignalURL = *sigURL

@@ -15,14 +15,13 @@
 //   - Request coalescing (coalesce.go): a stdlib-only singleflight group.
 //     N concurrent queries for the same (tenant-set, period, config) key
 //     trigger exactly one Shapley computation on the parallel engine; the
-//     rest wait for the shared result.
-//   - Batched evaluation (batch.go): queries arriving within a small
-//     window for the same period are merged into one attribution call —
-//     one computation prices every tenant in the window, and the result
-//     fans back out to each waiter.
+//     rest wait for the shared result. A cold query goes straight from
+//     the cache miss to the group: the former 5 ms batch window merged
+//     only same-key queries, which the group already merges, so it added
+//     latency and nothing else.
 //
 // Everything is observable: fairco2_attrserver_{requests_total,
 // cache_hits_total, cache_misses_total, cache_evictions_total,
-// coalesced_total, computations_total, batch_size, inflight} via
+// coalesced_total, computations_total, inflight} via
 // internal/metrics, plus /metrics and /healthz endpoints.
 package attrserver

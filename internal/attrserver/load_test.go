@@ -75,7 +75,6 @@ func metricValue(t *testing.T, exposition, series string) float64 {
 func TestConcurrentIdenticalQueriesCoalesceToOneComputation(t *testing.T) {
 	gated := newGatedMethod(attribution.GroundTruth{Parallelism: 1})
 	srv, _ := newTestServer(t, nil, func(c *Config) {
-		c.BatchWindow = 2 * time.Millisecond
 		c.Methods = map[string]attribution.Method{"gated": gated}
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -103,7 +102,7 @@ func TestConcurrentIdenticalQueriesCoalesceToOneComputation(t *testing.T) {
 
 	// The gate holds the single computation open while the other queries
 	// arrive. Every late query counts toward coalesced_total the moment it
-	// attaches (batch join or in-flight attach), so this poll converges
+	// attaches to the in-flight computation, so this poll converges
 	// exactly when all m queries share the one computation.
 	<-gated.started
 	deadline := time.Now().Add(10 * time.Second)
@@ -167,7 +166,6 @@ func TestConcurrentIdenticalQueriesCoalesceToOneComputation(t *testing.T) {
 func TestConcurrentMixedTenantsShareOneComputation(t *testing.T) {
 	gated := newGatedMethod(attribution.GroundTruth{Parallelism: 1})
 	srv, _ := newTestServer(t, nil, func(c *Config) {
-		c.BatchWindow = 2 * time.Millisecond
 		c.Methods = map[string]attribution.Method{"gated": gated}
 	})
 	ts := httptest.NewServer(srv.Handler())

@@ -2,10 +2,6 @@ package attrserver
 
 import "fairco2/internal/metrics"
 
-// batchSizeBuckets covers the fan-out a batch window realistically gathers:
-// from the solitary query to a thundering herd.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // Instruments are the serving-layer metrics for one Server. Every family
 // carries a leading `replica` label so several replicas — the cluster
 // proxy's normal deployment, and any multi-replica test — can share one
@@ -24,17 +20,13 @@ type Instruments struct {
 	// TTL expiry.
 	CacheEvictions *metrics.Counter
 	// Coalesced counts queries served by a computation they did not
-	// trigger: joins of a pending batch plus batches that attached to an
-	// already-in-flight computation.
+	// trigger: misses that attached to an already-in-flight computation.
 	Coalesced *metrics.Counter
 	// Computations counts underlying attribution computations by method —
 	// the denominator that proves coalescing works, and, summed across
 	// replicas, that cluster routing never computes one query twice
 	// (fairco2_attrserver_computations_total{replica,method}).
 	Computations metrics.CurriedCounterVec
-	// BatchSize observes how many queries each fired batch fanned out to
-	// (an in-flight computation may serve several batches).
-	BatchSize *metrics.Histogram
 	// Inflight gauges HTTP requests currently being served.
 	Inflight *metrics.Gauge
 }
@@ -67,17 +59,12 @@ func NewReplicaInstruments(reg *metrics.Registry, replica string) *Instruments {
 			"replica").With(replica),
 		Coalesced: reg.GetOrNewCounterVec(
 			"fairco2_attrserver_coalesced_total",
-			"Queries served by a computation they did not trigger (batch joins + in-flight shares).",
+			"Queries served by a computation they did not trigger (in-flight shares).",
 			"replica").With(replica),
 		Computations: reg.GetOrNewCounterVec(
 			"fairco2_attrserver_computations_total",
 			"Underlying attribution computations executed, by replica and method.",
 			"replica", "method").Curry(replica),
-		BatchSize: reg.GetOrNewHistogramVec(
-			"fairco2_attrserver_batch_size",
-			"Queries fanned out together per fired batch.",
-			batchSizeBuckets,
-			"replica").With(replica),
 		Inflight: reg.GetOrNewGaugeVec(
 			"fairco2_attrserver_inflight",
 			"HTTP requests currently in flight.",

@@ -47,10 +47,6 @@ type Config struct {
 	// DegradedTTL is the lifetime of a result priced while the signal was
 	// degraded — short, so recovery is picked up quickly (default 15s).
 	DegradedTTL time.Duration
-	// BatchWindow is how long the first query for a key waits to gather a
-	// batch before computing (default 5ms; 0 computes immediately, with
-	// coalescing still folding concurrent identical queries together).
-	BatchWindow time.Duration
 	// QueryTimeout bounds each query endpoint request (default 30s).
 	QueryTimeout time.Duration
 	// PricePerTonne converts attributed grams to the billing endpoint's
@@ -100,7 +96,6 @@ func DefaultConfig() Config {
 		CacheShards:    16,
 		CacheTTL:       5 * time.Minute,
 		DegradedTTL:    15 * time.Second,
-		BatchWindow:    5 * time.Millisecond,
 		QueryTimeout:   30 * time.Second,
 		PricePerTonne:  100,
 		SignalMaxStale: livesignal.DefaultMaxStale,
@@ -148,7 +143,7 @@ func (cfg Config) validate() error {
 		return errors.New("attrserver: budget must be positive")
 	case cfg.CacheBytes < 0, cfg.CacheShards < 0:
 		return errors.New("attrserver: cache knobs must be non-negative")
-	case cfg.CacheTTL < 0, cfg.DegradedTTL < 0, cfg.BatchWindow < 0, cfg.QueryTimeout < 0:
+	case cfg.CacheTTL < 0, cfg.DegradedTTL < 0, cfg.QueryTimeout < 0:
 		return errors.New("attrserver: durations must be non-negative")
 	case cfg.PricePerTonne < 0:
 		return errors.New("attrserver: price must be non-negative")
@@ -174,7 +169,7 @@ type Server struct {
 	reg     *metrics.Registry
 	inst    *Instruments
 	cache   *resultCache
-	batch   *batcher
+	flights *flightGroup
 	methods map[string]attribution.Method
 	state   atomic.Pointer[schedState]
 	health  atomic.Value // string; empty = HealthOK
@@ -207,7 +202,7 @@ func New(cfg Config, reg *metrics.Registry) (*Server, error) {
 		reg:     reg,
 		inst:    inst,
 		cache:   newResultCache(cfg.CacheBytes, cfg.CacheShards, cfg.Now, inst),
-		batch:   newBatcher(cfg.BatchWindow, inst),
+		flights: newFlightGroup(func() { inst.Coalesced.Inc() }),
 		started: cfg.Now(),
 		methods: map[string]attribution.Method{
 			MethodGroundTruth:        attribution.GroundTruth{Parallelism: cfg.Parallelism},
@@ -251,20 +246,33 @@ func (a *answer) sizeBytes(key string) int64 {
 	return int64(len(key)+len(a.Method)+len(a.Quality)) + int64(len(a.IDs))*24 + fixed
 }
 
-// resolve answers a query through the cache, then the batch/coalesce
-// stack. Waiting is bounded by ctx; a computation, once started, always
-// finishes and fills the cache.
+// resolve answers a query from the cache, or on a miss through the flight
+// group, which folds concurrent identical misses into one computation.
+// Waiting is bounded by ctx; a computation, once started, always finishes
+// and fills the cache.
 func (s *Server) resolve(ctx context.Context, q querySpec) (*answer, error) {
 	st := s.snapshot()
 	key := q.cacheKey(st.fp)
 	if v, ok := s.cache.get(key); ok {
 		return v.(*answer), nil
 	}
-	v, err := s.batch.Do(ctx, key, func() (any, error) { return s.compute(st, q, key) })
+	v, err := s.flights.Do(ctx, key, func() (any, error) { return s.lead(st, q, key) })
 	if err != nil {
 		return nil, err
 	}
 	return v.(*answer), nil
+}
+
+// lead is a flight leader's work. A flight for key can finish, fill the
+// cache and unregister between a query's cache miss and its Do call; that
+// query then leads a new flight, and the peek hands it the cached result
+// instead of computing it twice. The peek counts no hit or miss, since the
+// query's lookup was already counted as a miss.
+func (s *Server) lead(st *schedState, q querySpec, key string) (any, error) {
+	if v, ok := s.cache.peek(key); ok {
+		return v, nil
+	}
+	return s.compute(st, q, key)
 }
 
 // compute runs one attribution over the queried period and caches it.

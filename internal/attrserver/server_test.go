@@ -48,7 +48,6 @@ func newTestServer(t testing.TB, clock *fakeClock, mutate func(*Config)) (*Serve
 		Schedule:    testSchedule(t),
 		Budget:      1000,
 		Parallelism: 1,
-		BatchWindow: time.Millisecond,
 	}
 	if clock != nil {
 		cfg.Now = clock.Now
@@ -377,7 +376,6 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		"fairco2_attrserver_cache_evictions_total",
 		"fairco2_attrserver_coalesced_total",
 		"fairco2_attrserver_computations_total",
-		"fairco2_attrserver_batch_size",
 		"fairco2_attrserver_inflight",
 	} {
 		if !strings.Contains(string(body), name) {

@@ -421,7 +421,6 @@ func chaosOracle(sched *schedule.Schedule, bodies [][]byte) (*httptest.Server, e
 	cfg.Schedule = sched
 	cfg.Budget = 1e6
 	cfg.Parallelism = 1
-	cfg.BatchWindow = 0
 	cfg.Replica = "oracle"
 	srv, err := attrserver.New(cfg, metrics.NewRegistry())
 	if err != nil {

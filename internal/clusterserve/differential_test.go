@@ -25,7 +25,6 @@ func newOracle(t *testing.T, sched *schedule.Schedule) (*attrserver.Server, *htt
 	cfg.Schedule = sched
 	cfg.Budget = 1e6
 	cfg.Parallelism = 1
-	cfg.BatchWindow = 0
 	cfg.Replica = "oracle"
 	srv, err := attrserver.New(cfg, reg)
 	if err != nil {

@@ -180,7 +180,6 @@ func (f *Fleet) buildReplica(i int) (*attrserver.Server, *Node, error) {
 	scfg.Schedule = cfg.Schedule
 	scfg.Budget = cfg.Budget
 	scfg.Parallelism = 1
-	scfg.BatchWindow = 0
 	scfg.Replica = f.IDs[i]
 	if cfg.ServiceTime > 0 {
 		scfg.Methods = map[string]attribution.Method{

@@ -375,7 +375,6 @@ func TestQueryFailoverOnBlackout(t *testing.T) {
 		cfg.Schedule = sched
 		cfg.Budget = 1e6
 		cfg.Parallelism = 1
-		cfg.BatchWindow = 0
 		cfg.Replica = replica
 		srv, err := attrserver.New(cfg, reg)
 		if err != nil {
