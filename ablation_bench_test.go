@@ -7,10 +7,12 @@ package fairco2
 // interference profiles.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fairco2/internal/checkpoint"
 	"fairco2/internal/colocation"
 	"fairco2/internal/livesignal"
 	"fairco2/internal/montecarlo"
@@ -166,11 +168,12 @@ func BenchmarkAblationIncrementalVsDirectTable(b *testing.B) {
 	n := len(s.Workloads)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			demand := make([]float64, s.Slices)
-			_, err := shapley.BuildTableIncremental(n,
-				func(w int) { addDemand(demand, s, w, 1) },
-				func(w int) { addDemand(demand, s, w, -1) },
-				func() float64 { return maxOf(demand) })
+			_, err := shapley.BuildGameTable(context.Background(), n, func() (func(int), func(int), func() float64) {
+				demand := make([]float64, s.Slices)
+				return func(w int) { addDemand(demand, s, w, 1) },
+					func(w int) { addDemand(demand, s, w, -1) },
+					func() float64 { return maxOf(demand) }
+			}, 1, checkpoint.Spec{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,10 +11,12 @@ package fairco2
 // hardware numbers). EXPERIMENTS.md records paper-vs-measured values.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"fairco2/internal/carbon"
+	"fairco2/internal/checkpoint"
 	"fairco2/internal/forecast"
 	"fairco2/internal/grid"
 	"fairco2/internal/livesignal"
@@ -333,7 +335,9 @@ func BenchmarkGroundTruthExactScaling(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				table, err := shapley.BuildTableIncremental(n, func(int) {}, func(int) {}, func() float64 { return 0 })
+				table, err := shapley.BuildGameTable(context.Background(), n, func() (func(int), func(int), func() float64) {
+					return func(int) {}, func(int) {}, func() float64 { return 0 }
+				}, 1, checkpoint.Spec{})
 				_ = table
 				if err != nil {
 					b.Fatal(err)

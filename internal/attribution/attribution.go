@@ -54,104 +54,74 @@ func validate(s *schedule.Schedule, budget units.GramsCO2e) error {
 // GroundTruth is the exact Shapley attribution with workloads as players.
 type GroundTruth struct {
 	// Parallelism selects the coalition-enumeration worker count: 0
-	// (the zero value) auto-sizes to GOMAXPROCS, 1 forces the serial
-	// solver, n > 1 uses n workers. Workloads demand integer cores, so
-	// every coalition peak is exact and the attribution is identical
-	// for any setting.
+	// (the zero value) auto-sizes to GOMAXPROCS, 1 runs serially, n > 1
+	// uses n workers. Workloads demand integer cores, so every coalition
+	// peak is exact and the attribution is identical for any setting.
 	Parallelism int
 }
 
 // Name implements Method.
 func (GroundTruth) Name() string { return "ground-truth-shapley" }
 
-// DemandPeakGame returns the incremental coalition-peak game over a fresh
-// demand scratch buffer: add/remove update the summed demand curve, value
-// recomputes its peak in O(slices). Each call returns independent state, so
-// parallel enumeration gets one game per block. Workload demands are
+// DemandPeakGame returns the incremental coalition-peak game of s: each
+// call of the game allocates a fresh demand scratch buffer that add/remove
+// update, and value recomputes its peak in O(slices), so parallel
+// enumeration gets independent state per block. Workload demands are
 // integer cores, so the incremental arithmetic is exact and every
 // enumeration order — including the delta engine's subcube walks — yields
 // bitwise-identical coalition values.
-func DemandPeakGame(s *schedule.Schedule) (add, remove func(int), value func() float64) {
-	demand := make([]float64, s.Slices)
-	add = func(i int) {
-		w := s.Workloads[i]
-		for t := w.Start; t < w.End(); t++ {
-			demand[t] += float64(w.Cores)
-		}
-	}
-	remove = func(i int) {
-		w := s.Workloads[i]
-		for t := w.Start; t < w.End(); t++ {
-			demand[t] -= float64(w.Cores)
-		}
-	}
-	value = func() float64 {
-		peak := 0.0
-		for _, d := range demand {
-			if d > peak {
-				peak = d
+func DemandPeakGame(s *schedule.Schedule) shapley.Game {
+	return func() (add, remove func(int), value func() float64) {
+		demand := make([]float64, s.Slices)
+		add = func(i int) {
+			w := s.Workloads[i]
+			for t := w.Start; t < w.End(); t++ {
+				demand[t] += float64(w.Cores)
 			}
 		}
-		return peak
+		remove = func(i int) {
+			w := s.Workloads[i]
+			for t := w.Start; t < w.End(); t++ {
+				demand[t] -= float64(w.Cores)
+			}
+		}
+		value = func() float64 {
+			peak := 0.0
+			for _, d := range demand {
+				if d > peak {
+					peak = d
+				}
+			}
+			return peak
+		}
+		return add, remove, value
 	}
-	return add, remove, value
 }
 
 // Attribute implements Method. Complexity is O(2^n * (n + slices)); the
 // schedule must have at most shapley.MaxExactPlayers workloads.
 func (m GroundTruth) Attribute(s *schedule.Schedule, budget units.GramsCO2e) ([]float64, error) {
-	defer observeRun(GroundTruth{}.Name(), time.Now())
-	if err := validate(s, budget); err != nil {
-		return nil, err
-	}
-	n := len(s.Workloads)
-	var table, phi []float64
-	var err error
-	if m.Parallelism == 1 {
-		add, remove, value := DemandPeakGame(s)
-		table, err = shapley.BuildTableIncremental(n, add, remove, value)
-		if err == nil {
-			phi, err = shapley.ExactFromTable(n, table)
-		}
-	} else {
-		table, err = shapley.BuildTableIncrementalParallel(n,
-			func() (func(int), func(int), func() float64) { return DemandPeakGame(s) },
-			m.Parallelism)
-		if err == nil {
-			phi, err = shapley.ExactFromTableParallel(n, table, m.Parallelism)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeShares(phi, budget)
+	return m.AttributeCheckpointed(context.Background(), s, budget, checkpoint.Spec{})
 }
 
 // AttributeCheckpointed is Attribute with context cancellation and
 // crash-safe checkpoint/resume of the exact coalition-table build — the
 // O(2^n) part that makes large ground-truth attributions multi-hour jobs.
-// The attribution is bitwise-identical to Attribute with the same
-// Parallelism for any interruption pattern. The checkpoint directory must
-// be dedicated to one (schedule, budget) pair; see
-// shapley.BuildTableIncrementalCheckpointed.
+// A zero ck builds in memory. The attribution is bitwise-identical to
+// Attribute with the same Parallelism for any interruption pattern. The
+// checkpoint directory must be dedicated to one (schedule, budget) pair;
+// see shapley.BuildGameTable.
 func (m GroundTruth) AttributeCheckpointed(ctx context.Context, s *schedule.Schedule, budget units.GramsCO2e, ck checkpoint.Spec) ([]float64, error) {
 	defer observeRun(GroundTruth{}.Name(), time.Now())
 	if err := validate(s, budget); err != nil {
 		return nil, err
 	}
 	n := len(s.Workloads)
-	table, err := shapley.BuildTableIncrementalCheckpointed(ctx, n,
-		func() (func(int), func(int), func() float64) { return DemandPeakGame(s) },
-		m.Parallelism, ck)
+	table, err := shapley.BuildGameTable(ctx, n, DemandPeakGame(s), m.Parallelism, ck)
 	if err != nil {
 		return nil, err
 	}
-	var phi []float64
-	if m.Parallelism == 1 {
-		phi, err = shapley.ExactFromTable(n, table)
-	} else {
-		phi, err = shapley.ExactFromTableParallel(n, table, m.Parallelism)
-	}
+	phi, err := shapley.ExactFromTable(n, table, m.Parallelism)
 	if err != nil {
 		return nil, err
 	}

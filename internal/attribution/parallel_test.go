@@ -1,9 +1,13 @@
 package attribution
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"fairco2/internal/checkpoint"
 )
 
 // Differential tests of the Parallelism knob at the attribution layer.
@@ -20,14 +24,33 @@ func TestGroundTruthParallelDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 2, 3, 8} {
-			par, err := GroundTruth{Parallelism: workers}.Attribute(s, budget)
+			m := GroundTruth{Parallelism: workers}
+			par, err := m.Attribute(s, budget)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
-			for i := range serial {
-				if par[i] != serial[i] {
-					t.Fatalf("trial %d workers %d workload %d: parallel %v != serial %v",
-						trial, workers, i, par[i], serial[i])
+			// The checkpointed build, once fresh and once resumed from the
+			// final snapshot a pre-cancelled run leaves behind.
+			fresh, err := m.AttributeCheckpointed(context.Background(), s, budget, checkpoint.Spec{Dir: t.TempDir(), Every: 16})
+			if err != nil {
+				t.Fatalf("trial %d workers %d: checkpointed: %v", trial, workers, err)
+			}
+			ck := checkpoint.Spec{Dir: t.TempDir()}
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := m.AttributeCheckpointed(cancelled, s, budget, ck); !errors.Is(err, context.Canceled) {
+				t.Fatalf("trial %d workers %d: cancelled checkpointed run: %v", trial, workers, err)
+			}
+			resumed, err := m.AttributeCheckpointed(context.Background(), s, budget, ck)
+			if err != nil {
+				t.Fatalf("trial %d workers %d: resumed: %v", trial, workers, err)
+			}
+			for name, got := range map[string][]float64{"parallel": par, "checkpointed": fresh, "resumed": resumed} {
+				for i := range serial {
+					if got[i] != serial[i] {
+						t.Fatalf("trial %d workers %d workload %d: %s %v != serial %v",
+							trial, workers, i, name, got[i], serial[i])
+					}
 				}
 			}
 		}

@@ -28,11 +28,11 @@ import (
 //
 // Both engines guarantee bitwise identity with a fresh rebuild, so a
 // delta answer is indistinguishable from the full computation the GET
-// endpoints would run — the differential tests pin this. A commit swaps
-// the server's schedule snapshot and patches the result cache under the
-// new fingerprint with answers derived from the already-patched engines,
-// so the next full-window GET for any standard method is a cache hit
-// instead of an eviction-triggered recomputation.
+// endpoints would run — the differential tests pin this. A commit patches
+// the result cache under the new fingerprint with answers derived from the
+// already-patched engines, then swaps the server's schedule snapshot, so
+// the next full-window GET for any standard method is a cache hit instead
+// of an eviction-triggered recomputation.
 
 // deltaEngine owns a mutable clone of the serving schedule plus the two
 // incremental engines kept consistent with it. All mutation happens under
@@ -42,6 +42,7 @@ type deltaEngine struct {
 	budget units.GramsCO2e
 	par    int
 	sched  *schedule.Schedule    // owned clone, mutated by applies
+	game   shapley.Game          // coalition-peak game over sched
 	sig    *temporal.SignalDelta // full-window Fair-CO2 intensity
 	dt     *shapley.DeltaTable   // nil when the schedule exceeds shapley.MaxExactPlayers
 }
@@ -60,25 +61,20 @@ func cloneSchedule(s *schedule.Schedule) *schedule.Schedule {
 // the Shapley table is built only when exact enumeration is feasible.
 func newDeltaEngine(src *schedule.Schedule, budget units.GramsCO2e, par int) (*deltaEngine, error) {
 	e := &deltaEngine{budget: budget, par: par, sched: cloneSchedule(src)}
+	e.game = attribution.DemandPeakGame(e.sched)
 	sig, err := temporal.IntensitySignalDelta(e.sched.Demand(), budget, temporal.Config{SplitRatios: []int{e.sched.Slices}})
 	if err != nil {
 		return nil, fmt.Errorf("attrserver: building delta signal: %w", err)
 	}
 	e.sig = sig
 	if n := len(e.sched.Workloads); n <= shapley.MaxExactPlayers {
-		dt, err := shapley.NewDeltaTableIncremental(n, e.game, par)
+		dt, err := shapley.NewDeltaTable(n, e.game, par)
 		if err != nil {
 			return nil, fmt.Errorf("attrserver: building delta table: %w", err)
 		}
 		e.dt = dt
 	}
 	return e, nil
-}
-
-// game returns a fresh incremental coalition-peak game over the engine's
-// current schedule; delta applies re-evaluate affected coalitions with it.
-func (e *deltaEngine) game() (add, remove func(int), value func() float64) {
-	return attribution.DemandPeakGame(e.sched)
 }
 
 // applyLocked installs workload w (replacing the one with its ID) and
@@ -94,7 +90,7 @@ func (e *deltaEngine) applyLocked(w schedule.Workload) (temporal.DeltaStats, sha
 	}
 	var sstats shapley.DeltaStats
 	if e.dt != nil {
-		sstats, err = e.dt.ApplyIncremental(1<<uint(w.ID), e.game, e.par)
+		sstats, err = e.dt.Apply(1<<uint(w.ID), e.game, e.par)
 		if err != nil {
 			e.sched.Workloads[w.ID] = old
 			if _, rerr := e.sig.Update(e.sched.Demand()); rerr != nil {
@@ -120,7 +116,7 @@ func (e *deltaEngine) answerLocked(method string, now time.Time) (*answer, error
 		grams, err = attribution.AttributeByIntensity(e.sched, e.sig.Intensity())
 	case MethodGroundTruth:
 		var phi []float64
-		phi, err = shapley.ExactFromTable(len(e.sched.Workloads), e.dt.Table())
+		phi, err = shapley.ExactFromTable(len(e.sched.Workloads), e.dt.Table(), 1)
 		if err == nil {
 			grams, err = attribution.NormalizeShares(phi, e.budget)
 		}
@@ -283,33 +279,33 @@ func (s *Server) applyDelta(req deltaRequest) (*deltaResponse, int, error) {
 }
 
 // commitLocked publishes the engine's (already patched) schedule as the
-// serving snapshot and patches the result cache under the new fingerprint
-// with full-window answers for every standard method, all derived from
-// the delta engines. Under static pricing those entries are
-// bitwise-identical to what compute() would produce, so subsequent GETs
-// hit the cache with zero recomputation; under live pricing budgets are
-// signal-driven per query, so warming is skipped and queries recompute.
-// Callers hold e.mu.
+// serving snapshot, after patching the result cache under the new
+// fingerprint with full-window answers for every standard method, all
+// derived from the delta engines. Under static pricing those entries are
+// bitwise-identical to what compute() would produce, and they land before
+// the snapshot does, so every full-window GET that sees the new
+// fingerprint hits the cache with zero recomputation; under live pricing
+// budgets are signal-driven per query, so warming is skipped and queries
+// recompute. Callers hold e.mu.
 func (s *Server) commitLocked(e *deltaEngine, fp uint32, method string, ans *answer) {
 	sched := cloneSchedule(e.sched)
+	if s.cfg.Feed == nil {
+		warm := map[string]*answer{method: ans}
+		for _, m := range []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional} {
+			if _, ok := warm[m]; ok {
+				continue
+			}
+			if m == MethodGroundTruth && e.dt == nil {
+				continue
+			}
+			if a, err := e.answerLocked(m, s.cfg.Now()); err == nil {
+				warm[m] = a
+			}
+		}
+		for m, a := range warm {
+			key := querySpec{method: m, start: 0, end: sched.Slices, tenant: -1}.cacheKey(fp)
+			s.cache.put(key, a, a.sizeBytes(key), s.cfg.CacheTTL)
+		}
+	}
 	s.state.Store(&schedState{sched: sched, fp: fp})
-	if s.cfg.Feed != nil {
-		return
-	}
-	warm := map[string]*answer{method: ans}
-	for _, m := range []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional} {
-		if _, ok := warm[m]; ok {
-			continue
-		}
-		if m == MethodGroundTruth && e.dt == nil {
-			continue
-		}
-		if a, err := e.answerLocked(m, s.cfg.Now()); err == nil {
-			warm[m] = a
-		}
-	}
-	for m, a := range warm {
-		key := querySpec{method: m, start: 0, end: sched.Slices, tenant: -1}.cacheKey(fp)
-		s.cache.put(key, a, a.sizeBytes(key), s.cfg.CacheTTL)
-	}
 }

@@ -3,12 +3,19 @@ package attrserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fairco2/internal/attribution"
+	"fairco2/internal/metrics"
 	"fairco2/internal/schedule"
 	"fairco2/internal/units"
 )
@@ -283,4 +290,138 @@ func TestDeltaDisabled(t *testing.T) {
 	if health.DeltaEnabled {
 		t.Fatal("healthz reports delta enabled on a zero-value config")
 	}
+}
+
+// TestDeltaCommitWarmsCacheBeforePublishing pins the commit order: the
+// full-window answers are cached under the new fingerprint before the new
+// snapshot is published, so a reader that sees the fingerprint always
+// finds them. A reader spins on the snapshot across 200 commits and peeks
+// the cache for every standard method whenever the fingerprint moves.
+func TestDeltaCommitWarmsCacheBeforePublishing(t *testing.T) {
+	srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
+	methods := []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional}
+	var stop atomic.Bool
+	var seen, missing atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		last := srv.snapshot().fp
+		for !stop.Load() {
+			st := srv.snapshot()
+			if st.fp == last {
+				continue
+			}
+			last = st.fp
+			seen.Add(1)
+			for _, m := range methods {
+				key := querySpec{method: m, start: 0, end: st.sched.Slices, tenant: -1}.cacheKey(st.fp)
+				if _, ok := srv.cache.peek(key); !ok {
+					missing.Add(1)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		// Distinct cores on every commit, so each one publishes a
+		// never-seen fingerprint.
+		req := deltaRequest{Tenant: i % 4, Cores: intp(100 + i), Commit: true}
+		if _, code, err := srv.applyDelta(req); err != nil {
+			t.Fatalf("commit %d: status %d: %v", i, code, err)
+		}
+	}
+	stop.Store(true)
+	<-done
+	if seen.Load() == 0 {
+		t.Fatal("reader never observed a commit")
+	}
+	if n := missing.Load(); n > 0 {
+		t.Fatalf("%d full-window entries missing when the reader saw a new fingerprint (%d observed)", n, seen.Load())
+	}
+}
+
+// FuzzDemandDelta drives arbitrary POST /v1/demand/delta bodies through
+// Handler() on a generated 10-workload schedule. The endpoint must never
+// panic and must answer 200 or 400; a request that does not commit (a
+// what-if or a rejected body) must leave the served fingerprint and the
+// bytes of every later full-window GET unchanged, and a commit must
+// publish the fingerprint it reports.
+func FuzzDemandDelta(f *testing.F) {
+	gen := schedule.DefaultGeneratorConfig()
+	gen.MaxWorkloads = 10
+	sched, err := schedule.Generate(gen, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		`{"tenant":1,"cores":2}`,
+		`{"tenant":3,"cores":48,"method":"ground-truth"}`,
+		`{"tenant":0,"start":2,"duration":3,"method":"rup"}`,
+		`{"tenant":2,"cores":16,"method":"demand-proportional","commit":true}`,
+		`{"tenant":1,"start":1,"duration":9223372036854775807}`,
+		`{"tenant":-1}`,
+		`{"tenant":99,"cores":0}`,
+		`{"tenant":0,"cores":-3}`,
+		`{"tenant":0,"method":"nope"}`,
+		`{"tenant":0,"extra":1}`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	methods := []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg := Config{Schedule: sched, Budget: 1000, Parallelism: 1, EnableDelta: true}
+		srv, err := New(cfg, metrics.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		serve := func(method, target string, body []byte) *httptest.ResponseRecorder {
+			r := &http.Request{Method: method, URL: &url.URL{Path: target}, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(body))}
+			if i := strings.IndexByte(target, '?'); i >= 0 {
+				r.URL = &url.URL{Path: target[:i], RawQuery: target[i+1:]}
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			return rec
+		}
+		full := func() [][]byte {
+			out := make([][]byte, len(methods))
+			for i, m := range methods {
+				rec := serve(http.MethodGet, "/v1/attribution?method="+m, nil)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET %s: status %d: %s", m, rec.Code, rec.Body)
+				}
+				out[i] = rec.Body.Bytes()
+			}
+			return out
+		}
+		fp := srv.snapshot().fp
+		before := full()
+
+		rec := serve(http.MethodPost, "/v1/demand/delta", body)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code == http.StatusOK {
+			var resp deltaResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("undecodable 200 body: %v", err)
+			}
+			if resp.Committed {
+				if got := fmt.Sprintf("%08x", srv.snapshot().fp); got != resp.Fingerprint {
+					t.Fatalf("commit reported fingerprint %s, serving %s", resp.Fingerprint, got)
+				}
+				return
+			}
+		}
+		if got := srv.snapshot().fp; got != fp {
+			t.Fatalf("uncommitted request moved the fingerprint %08x -> %08x", fp, got)
+		}
+		for i, b := range full() {
+			if !bytes.Equal(b, before[i]) {
+				t.Fatalf("%s: full-window GET changed after an uncommitted request:\n%s\nwant\n%s", methods[i], b, before[i])
+			}
+		}
+	})
 }

@@ -60,7 +60,7 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("schedule: workload %d has ID %d, want dense IDs", i, w.ID)
 		case w.Cores <= 0:
 			return fmt.Errorf("schedule: workload %d has non-positive cores", i)
-		case w.Start < 0 || w.Duration < 1 || w.End() > s.Slices:
+		case w.Start < 0 || w.Duration < 1 || w.Duration > s.Slices-w.Start:
 			return fmt.Errorf("schedule: workload %d runs [%d, %d) outside window [0, %d)", i, w.Start, w.End(), s.Slices)
 		}
 	}

@@ -44,6 +44,8 @@ func TestValidate(t *testing.T) {
 		func(s *Schedule) { s.Workloads[0].Start = -1 },
 		func(s *Schedule) { s.Workloads[0].Duration = 0 },
 		func(s *Schedule) { s.Workloads[1].Duration = 3 },
+		// Start+Duration overflows to a negative end.
+		func(s *Schedule) { s.Workloads[1].Start, s.Workloads[1].Duration = 1, math.MaxInt },
 	}
 	for i, mutate := range bad {
 		s := twoSliceSchedule()

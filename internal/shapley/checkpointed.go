@@ -12,12 +12,12 @@ import (
 
 // Checkpointed exact enumeration. A 24-player table is 2^24 coalition
 // evaluations — hours of work for an expensive incremental game — enumerated
-// in the same fixed gray-code blocks as BuildTableIncrementalParallel. Each
-// block covers a contiguous mask range [b<<low, (b+1)<<low), so a snapshot
-// is simply the set of finished blocks plus their table slices, flushed
-// periodically. Because the block decomposition is independent of worker
-// count and each block starts from fresh state, a resumed build produces a
-// table bitwise-identical to an uninterrupted one.
+// in BuildGameTable's fixed gray-code blocks. Each block covers a contiguous
+// mask range [b<<low, (b+1)<<low), so a snapshot is simply the set of
+// finished blocks plus their table slices, flushed periodically. Because
+// the block decomposition is independent of worker count and each block
+// starts from fresh state, a resumed build produces a table
+// bitwise-identical to an uninterrupted one.
 
 // tableSweep is the live progress of a checkpointed table build. Snapshots
 // use a compact binary payload (the table is 8 bytes per coalition; JSON
@@ -93,35 +93,13 @@ func (t *tableSweep) Restore(payload []byte) error {
 	return nil
 }
 
-// BuildTableIncrementalCheckpointed is BuildTableIncrementalParallel with
-// context cancellation and crash-safe checkpoint/resume: finished gray-code
-// blocks are flushed to the checkpoint store every ck.Every blocks, and a
-// restart recomputes only the missing blocks. With a disabled spec it
-// degrades to BuildTableIncrementalParallel. The snapshot records only the
-// player count, not the game itself — resuming against a different
-// characteristic function silently builds a mixed table, exactly like
-// resuming a Monte Carlo sweep with a different seed would, so callers must
-// key the checkpoint directory to the game (the CLIs use one directory per
-// run configuration).
-func BuildTableIncrementalCheckpointed(ctx context.Context, n int, newGame func() (add, remove func(player int), value func() float64), workers int, ck checkpoint.Spec) ([]float64, error) {
-	if !ck.Enabled() {
-		return BuildTableIncrementalParallel(n, newGame, workers)
-	}
-	if err := checkExactN(n); err != nil {
-		return nil, err
-	}
-	if newGame == nil {
-		return nil, ErrNilGame
-	}
-	prefixBits := min(n, incrementalPrefixBits)
-	low := n - prefixBits
-	blocks := 1 << uint(prefixBits)
-	sweep := &tableSweep{
-		n:     n,
-		low:   low,
-		done:  make([]bool, blocks),
-		table: make([]float64, 1<<uint(n)),
-	}
+// buildCheckpointed is BuildGameTable's path for an enabled spec: the
+// blocks run through checkpoint.RunUnits, which stops dispatching on
+// cancellation and snapshots every ck.Every finished blocks, and a
+// restored snapshot's blocks are skipped. Arguments are pre-validated.
+func buildCheckpointed(ctx context.Context, n int, g Game, workers int, ck checkpoint.Spec, table []float64) ([]float64, error) {
+	low, blocks := tableBlocks(n)
+	sweep := &tableSweep{n: n, low: low, done: make([]bool, blocks), table: table}
 	store, err := checkpoint.Open(ck.Dir, "shapley-table")
 	if err != nil {
 		return nil, err
@@ -132,7 +110,7 @@ func BuildTableIncrementalCheckpointed(ctx context.Context, n int, newGame func(
 	enumerated := 0
 	err = checkpoint.RunUnits(ctx, checkpoint.RunConfig{
 		Units:   blocks,
-		Workers: min(resolveWorkers(workers), blocks),
+		Workers: workers,
 		Every:   ck.Every,
 		Skip:    func(b int) bool { return sweep.done[b] },
 		Run: func(b int) (err error) {
@@ -144,7 +122,7 @@ func BuildTableIncrementalCheckpointed(ctx context.Context, n int, newGame func(
 					err = &WorkerPanicError{Worker: b, Value: r, Stack: debug.Stack()}
 				}
 			}()
-			return enumerateBlock(low, b, newGame, sweep.table)
+			return enumerateBlock(low, b, g, sweep.table)
 		},
 		Complete: func(b int) {
 			sweep.done[b] = true

@@ -11,7 +11,7 @@ import (
 
 // peakDemandGame builds the incremental demand-curve game used by the
 // attribution paths: rectangular workloads, value = peak of the summed curve.
-func peakDemandGame(rng *rand.Rand, n, slices int) func() (func(int), func(int), func() float64) {
+func peakDemandGame(rng *rand.Rand, n, slices int) Game {
 	starts := make([]int, n)
 	ends := make([]int, n)
 	cores := make([]float64, n)
@@ -49,20 +49,19 @@ func TestBuildTableCheckpointedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 9
 	makeGame := peakDemandGame(rng, n, 8)
-	add, remove, value := makeGame()
-	serial, err := BuildTableIncremental(n, add, remove, value)
+	serial, err := buildTable(n, makeGame, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck := checkpoint.Spec{Dir: t.TempDir(), Every: 7}
-	table, err := BuildTableIncrementalCheckpointed(context.Background(), n, makeGame, 3, ck)
+	table, err := BuildGameTable(context.Background(), n, makeGame, 3, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalSlices(t, table, serial, "BuildTableIncrementalCheckpointed")
 
 	// A second run against the completed snapshot recomputes nothing.
-	again, err := BuildTableIncrementalCheckpointed(context.Background(), n, makeGame, 1, ck)
+	again, err := BuildGameTable(context.Background(), n, makeGame, 1, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +72,7 @@ func TestBuildTableCheckpointedResumesAfterInterrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const n = 8
 	makeGame := peakDemandGame(rng, n, 10)
-	add, remove, value := makeGame()
-	serial, err := BuildTableIncremental(n, add, remove, value)
+	serial, err := buildTable(n, makeGame, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,25 +80,55 @@ func TestBuildTableCheckpointedResumesAfterInterrupt(t *testing.T) {
 	ck := checkpoint.Spec{Dir: t.TempDir(), Every: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildTableIncrementalCheckpointed(ctx, n, makeGame, 2, ck); !errors.Is(err, context.Canceled) {
+	if _, err := BuildGameTable(ctx, n, makeGame, 2, ck); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build: %v", err)
 	}
-	table, err := BuildTableIncrementalCheckpointed(context.Background(), n, makeGame, 2, ck)
+	table, err := BuildGameTable(context.Background(), n, makeGame, 2, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalSlices(t, table, serial, "resumed table")
 }
 
+// TestBuildGameTableStopsOnCancel pins cancellation of the in-memory build:
+// a pre-cancelled context fails before any block, and a cancel landing
+// inside a block stops the serial build at the next block boundary.
+func TestBuildGameTableStopsOnCancel(t *testing.T) {
+	makeGame := peakDemandGame(rand.New(rand.NewSource(46)), 10, 6)
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		table, err := BuildGameTable(ctx, 10, makeGame, workers, checkpoint.Spec{})
+		if !errors.Is(err, context.Canceled) || table != nil {
+			t.Fatalf("workers=%d: pre-cancelled build returned %d entries, %v; want context.Canceled", workers, len(table), err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocks := 0
+	cancelling := func() (func(int), func(int), func() float64) {
+		blocks++
+		cancel()
+		return makeGame()
+	}
+	if _, err := BuildGameTable(ctx, 10, cancelling, 1, checkpoint.Spec{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel mid-build: %v, want context.Canceled", err)
+	}
+	if blocks != 1 {
+		t.Fatalf("serial build enumerated %d blocks after cancellation, want 1", blocks)
+	}
+}
+
 func TestBuildTableCheckpointedRejectsDifferentPlayerCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	makeGame := peakDemandGame(rng, 7, 6)
 	ck := checkpoint.Spec{Dir: t.TempDir(), Every: 4}
-	if _, err := BuildTableIncrementalCheckpointed(context.Background(), 7, makeGame, 2, ck); err != nil {
+	if _, err := BuildGameTable(context.Background(), 7, makeGame, 2, ck); err != nil {
 		t.Fatal(err)
 	}
 	smaller := peakDemandGame(rng, 6, 6)
-	if _, err := BuildTableIncrementalCheckpointed(context.Background(), 6, smaller, 2, ck); !errors.Is(err, checkpoint.ErrStateMismatch) {
+	if _, err := BuildGameTable(context.Background(), 6, smaller, 2, ck); !errors.Is(err, checkpoint.ErrStateMismatch) {
 		t.Fatalf("resume with different n: %v, want ErrStateMismatch", err)
 	}
 }
@@ -109,21 +137,20 @@ func TestBuildTableCheckpointedDisabledSpecDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	const n = 6
 	makeGame := peakDemandGame(rng, n, 5)
-	add, remove, value := makeGame()
-	serial, err := BuildTableIncremental(n, add, remove, value)
+	serial, err := buildTable(n, makeGame, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := BuildTableIncrementalCheckpointed(context.Background(), n, makeGame, 2, checkpoint.Spec{})
+	table, err := BuildGameTable(context.Background(), n, makeGame, 2, checkpoint.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalSlices(t, table, serial, "disabled-spec table")
 
-	if _, err := BuildTableIncrementalCheckpointed(context.Background(), 0, makeGame, 2, checkpoint.Spec{Dir: t.TempDir()}); !errors.Is(err, ErrNoPlayers) {
+	if _, err := BuildGameTable(context.Background(), 0, makeGame, 2, checkpoint.Spec{Dir: t.TempDir()}); !errors.Is(err, ErrNoPlayers) {
 		t.Errorf("n=0: %v", err)
 	}
-	if _, err := BuildTableIncrementalCheckpointed(context.Background(), 3, nil, 2, checkpoint.Spec{Dir: t.TempDir()}); !errors.Is(err, ErrNilGame) {
+	if _, err := BuildGameTable(context.Background(), 3, nil, 2, checkpoint.Spec{Dir: t.TempDir()}); !errors.Is(err, ErrNilGame) {
 		t.Errorf("nil game: %v", err)
 	}
 }

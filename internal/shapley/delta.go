@@ -1,6 +1,7 @@
 package shapley
 
 import (
+	"context"
 	"math/bits"
 	"time"
 
@@ -9,9 +10,8 @@ import (
 
 // Incremental delta re-attribution over the dense coalition table. A
 // DeltaTable wraps a built table plus one CRC-32 fingerprint per gray-code
-// block (the same fixed block decomposition BuildTableIncrementalParallel
-// and the checkpointed builder enumerate, so fingerprints are comparable
-// across the whole engine). When a subset of players changes, only the
+// block (the same fixed block decomposition BuildGameTable enumerates, so
+// fingerprints are comparable across the whole engine). When a subset of players changes, only the
 // coalitions containing a changed player can change value, so a delta
 // apply re-evaluates exactly those masks:
 //
@@ -30,14 +30,11 @@ import (
 // instead of the O(|S| * update) a scratch SetFunc evaluation pays, which
 // is where the order-of-magnitude delta speedup comes from.
 //
-// Determinism contract (mirrors the builders'): Apply re-evaluates pure
-// per-mask values, so the table is bit-for-bit identical to a fresh
-// BuildTableParallel of the changed game for any worker count.
-// ApplyIncremental enumerates a worker-independent set of subcubes with
-// caller-supplied incremental state, so it equals a fresh build exactly
-// whenever the state's arithmetic is exact over add/remove (e.g.
-// integer-valued demands — the Fair-CO2 coalition-peak game), and within
-// FP rounding otherwise.
+// Determinism contract (mirrors BuildGameTable's): Apply enumerates a
+// worker-independent set of subcubes with the game's incremental state, so
+// it equals a fresh build exactly whenever the state's arithmetic is exact
+// over add/remove (e.g. integer-valued demands — the Fair-CO2
+// coalition-peak game), and within FP rounding otherwise.
 //
 // A DeltaTable is not safe for concurrent use: applies mutate the table,
 // the fingerprints and preallocated scratch. Steady-state applies perform
@@ -80,22 +77,10 @@ type DeltaTable struct {
 	crcBuf   []byte // encode buffer for serial fingerprint refreshes
 }
 
-// NewDeltaTable builds the coalition table with BuildTableParallel and
-// wraps it for delta re-evaluation. v must be safe for concurrent use when
-// workers != 1.
-func NewDeltaTable(n int, v SetFunc, workers int) (*DeltaTable, error) {
-	table, err := BuildTableParallel(n, v, workers)
-	if err != nil {
-		return nil, err
-	}
-	return newDeltaFromTable(n, table), nil
-}
-
-// NewDeltaTableIncremental builds the coalition table with
-// BuildTableIncrementalParallel (caller-maintained incremental state, one
-// fresh game per block) and wraps it for delta re-evaluation.
-func NewDeltaTableIncremental(n int, newGame func() (add, remove func(player int), value func() float64), workers int) (*DeltaTable, error) {
-	table, err := BuildTableIncrementalParallel(n, newGame, workers)
+// NewDeltaTable builds the coalition table of g with BuildGameTable and
+// wraps it for delta re-evaluation.
+func NewDeltaTable(n int, g Game, workers int) (*DeltaTable, error) {
+	table, err := BuildGameTable(context.Background(), n, g, workers, checkpoint.Spec{})
 	if err != nil {
 		return nil, err
 	}
@@ -105,9 +90,7 @@ func NewDeltaTableIncremental(n int, newGame func() (add, remove func(player int
 // newDeltaFromTable wraps an already-validated table: n in [1,
 // MaxExactPlayers], len(table) == 2^n.
 func newDeltaFromTable(n int, table []float64) *DeltaTable {
-	prefixBits := min(n, incrementalPrefixBits)
-	low := n - prefixBits
-	blocks := 1 << uint(prefixBits)
+	low, blocks := tableBlocks(n)
 	t := &DeltaTable{
 		n:        n,
 		low:      low,
@@ -158,98 +141,17 @@ func (t *DeltaTable) checkChanged(changed uint64) error {
 	return nil
 }
 
-// Apply re-evaluates every coalition containing a changed player with the
-// plain characteristic function v and refreshes the touched block
-// fingerprints. The table afterwards is bit-for-bit what BuildTableParallel
-// of v would build, for any worker count. v must be safe for concurrent use
-// when workers != 1.
-func (t *DeltaTable) Apply(changed uint64, v SetFunc, workers int) (DeltaStats, error) {
-	if v == nil {
-		return DeltaStats{}, ErrNilGame
-	}
-	if err := t.checkChanged(changed); err != nil {
-		return DeltaStats{}, err
-	}
-	start := time.Now()
-	if changed == 0 {
-		stats := DeltaStats{BlocksSkipped: t.blocks}
-		t.observe(stats)
-		return stats, nil
-	}
-	subs := t.prepSubcubes(changed)
-	workers = min(resolveWorkers(workers), t.blocks)
-	highChanged := changed >> uint(t.low)
-	var busy time.Duration
-	var err error
-	if workers == 1 {
-		s := time.Now()
-		t.applyPlainRange(0, t.blocks, 0, highChanged, subs, v, t.crcBuf)
-		busy = time.Since(s)
-	} else {
-		busy, err = runWorkers(workers, func(w int) {
-			blo, bhi := blockRange(t.blocks, workers, w)
-			t.applyPlainRange(blo, bhi, w, highChanged, subs, v, make([]byte, len(t.crcBuf)))
-		})
-		if err != nil {
-			t.gatherStats(workers) // reset the per-worker slots
-			return DeltaStats{}, err
-		}
-	}
-	stats := t.gatherStats(workers)
-	t.observe(stats)
-	observeParallel("delta-apply", workers, time.Since(start), busy)
-	return stats, nil
-}
-
-// applyPlainRange runs the plain-SetFunc delta over blocks [blo, bhi),
-// accumulating stats into worker slot w. crcBuf is the worker's private
-// fingerprint encode buffer.
-func (t *DeltaTable) applyPlainRange(blo, bhi, w int, highChanged uint64, subs int, v SetFunc, crcBuf []byte) {
-	blockLen := 1 << uint(t.low)
-	for b := blo; b < bhi; b++ {
-		base := uint64(b) << uint(t.low)
-		switch {
-		case uint64(b)&highChanged != 0:
-			// A changed player is pinned into every mask of the block:
-			// re-evaluate it whole.
-			for m := base; m < base+uint64(blockLen); m++ {
-				t.table[m] = v(m)
-			}
-			t.wkCoals[w] += int64(blockLen)
-		case subs > 0:
-			// Only changed low bits touch this block: walk the affected
-			// subcubes (all submasks of each free mask, any order — the
-			// values are pure per-mask).
-			for j := 0; j < subs; j++ {
-				fixed := base | t.subFixed[j]
-				free := t.subFree[j]
-				for s := free; ; s = (s - 1) & free {
-					m := fixed | s
-					t.table[m] = v(m)
-					t.wkCoals[w]++
-					if s == 0 {
-						break
-					}
-				}
-			}
-		default:
-			continue // block untouched
-		}
-		t.refreshFingerprint(b, w, crcBuf)
-	}
-}
-
-// ApplyIncremental re-evaluates every coalition containing a changed player
-// through caller-maintained incremental state, like the incremental
-// builders: newGame must return a fresh or reset (add, remove, value)
-// triple describing the empty coalition. One game instance is used per
-// worker and unwound back to empty between subcubes, so a factory that
-// returns preallocated closures keeps the apply allocation-free. The
-// subcube set does not depend on the worker count, so the result is
-// deterministic for any parallelism (and bitwise-equal to a fresh build
-// for games with exact add/remove arithmetic).
-func (t *DeltaTable) ApplyIncremental(changed uint64, newGame func() (add, remove func(player int), value func() float64), workers int) (DeltaStats, error) {
-	if newGame == nil {
+// Apply re-evaluates every coalition containing a changed player through
+// the game's incremental state, like BuildGameTable: g must return a fresh
+// or reset (add, remove, value) triple describing the empty coalition. One
+// game instance is used per worker and unwound back to empty between
+// subcubes, so a factory that returns preallocated closures keeps the
+// apply allocation-free. The subcube set does not depend on the worker
+// count, so the result is deterministic for any parallelism (and
+// bitwise-equal to a fresh build for games with exact add/remove
+// arithmetic).
+func (t *DeltaTable) Apply(changed uint64, g Game, workers int) (DeltaStats, error) {
+	if g == nil {
 		return DeltaStats{}, ErrNilGame
 	}
 	if err := t.checkChanged(changed); err != nil {
@@ -268,62 +170,64 @@ func (t *DeltaTable) ApplyIncremental(changed uint64, newGame func() (add, remov
 	if workers == 1 {
 		// Inlined (closure-free) so the steady-state serial apply stays
 		// allocation-free.
-		add, remove, value := newGame()
+		add, remove, value := g()
 		if add == nil || remove == nil || value == nil {
 			return DeltaStats{}, ErrNilGame
 		}
 		s := time.Now()
-		t.applyIncrRange(0, t.blocks, 0, highChanged, subs, add, remove, value, t.crcBuf)
+		t.applyRange(0, t.blocks, 0, highChanged, subs, add, remove, value, t.crcBuf)
 		busy = time.Since(s)
 	} else {
 		errs := make([]error, workers)
-		busy_, panicErr := runWorkers(workers, func(w int) {
-			add, remove, value := newGame()
+		var err error
+		busy, err = runWorkers(workers, func(w int) {
+			add, remove, value := g()
 			if add == nil || remove == nil || value == nil {
 				errs[w] = ErrNilGame
 				return
 			}
 			blo, bhi := blockRange(t.blocks, workers, w)
-			t.applyIncrRange(blo, bhi, w, highChanged, subs, add, remove, value, make([]byte, len(t.crcBuf)))
+			t.applyRange(blo, bhi, w, highChanged, subs, add, remove, value, make([]byte, len(t.crcBuf)))
 		})
-		if panicErr != nil {
-			t.gatherStats(workers) // reset the per-worker slots
-			return DeltaStats{}, panicErr
-		}
 		for _, e := range errs {
-			if e != nil {
-				t.gatherStats(workers)
-				return DeltaStats{}, e
+			if err == nil {
+				err = e
 			}
 		}
-		busy = busy_
+		if err != nil {
+			t.gatherStats(workers) // reset the per-worker slots
+			return DeltaStats{}, err
+		}
 	}
 	stats := t.gatherStats(workers)
 	t.observe(stats)
-	observeParallel("delta-apply-incremental", workers, time.Since(start), busy)
+	observeParallel("delta-apply", workers, time.Since(start), busy)
 	return stats, nil
 }
 
-// applyIncrRange runs the incremental delta over blocks [blo, bhi) with one
-// game's state, accumulating stats into worker slot w. crcBuf is the
-// worker's private fingerprint encode buffer.
-func (t *DeltaTable) applyIncrRange(blo, bhi, w int, highChanged uint64, subs int, add, remove func(int), value func() float64, crcBuf []byte) {
+// applyRange runs the delta over blocks [blo, bhi) with one game's state,
+// accumulating stats into worker slot w. crcBuf is the worker's private
+// fingerprint encode buffer.
+func (t *DeltaTable) applyRange(blo, bhi, w int, highChanged uint64, subs int, add, remove func(int), value func() float64, crcBuf []byte) {
 	blockLen := 1 << uint(t.low)
 	for b := blo; b < bhi; b++ {
 		base := uint64(b) << uint(t.low)
 		switch {
 		case uint64(b)&highChanged != 0:
-			// Re-enumerate the whole block in the fresh builders' order.
+			// A changed player is pinned into every mask of the block:
+			// re-enumerate it whole, in the fresh builder's order.
 			t.walkSubcube(base, t.lowAll, add, remove, value)
 			t.wkCoals[w] += int64(blockLen)
 		case subs > 0:
+			// Only changed low bits touch this block: walk the affected
+			// subcubes.
 			for j := 0; j < subs; j++ {
 				fb := t.freeBits[j*t.low : j*t.low+t.subLen[j]]
 				t.walkSubcube(base|t.subFixed[j], fb, add, remove, value)
 				t.wkCoals[w] += int64(1) << uint(len(fb))
 			}
 		default:
-			continue
+			continue // block untouched
 		}
 		t.refreshFingerprint(b, w, crcBuf)
 	}

@@ -28,7 +28,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 
 	b.Run("delta-1p", func(b *testing.B) {
-		dt, err := NewDeltaTableIncremental(benchDeltaN, g.factory(), 1)
+		dt, err := NewDeltaTable(benchDeltaN, g.factory(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,18 +37,18 @@ func BenchmarkDeltaApply(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.vecs[p] = alt[i%2]
-			if _, err := dt.ApplyIncremental(1<<p, factory, 1); err != nil {
+			if _, err := dt.Apply(1<<p, factory, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
 	b.Run("delta-1p-plain", func(b *testing.B) {
-		dt, err := NewDeltaTable(benchDeltaN, g.plain(), 1)
+		plain := setGame(g.plain())
+		dt, err := NewDeltaTable(benchDeltaN, plain, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		plain := g.plain()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.vecs[p] = alt[i%2]
@@ -59,10 +59,10 @@ func BenchmarkDeltaApply(b *testing.B) {
 	})
 
 	b.Run("scratch-build-table", func(b *testing.B) {
-		plain := g.plain()
+		plain := setGame(g.plain())
 		for i := 0; i < b.N; i++ {
 			g.vecs[p] = alt[i%2]
-			if _, err := BuildTableParallel(benchDeltaN, plain, 1); err != nil {
+			if _, err := buildTable(benchDeltaN, plain, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,7 +72,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 		factory := g.factory()
 		for i := 0; i < b.N; i++ {
 			g.vecs[p] = alt[i%2]
-			if _, err := BuildTableIncrementalParallel(benchDeltaN, factory, 1); err != nil {
+			if _, err := buildTable(benchDeltaN, factory, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -62,7 +62,7 @@ func (g *deltaGame) plain() SetFunc {
 
 // factory returns fresh incremental state per call, like the attribution
 // demand-peak game's factory.
-func (g *deltaGame) factory() func() (func(int), func(int), func() float64) {
+func (g *deltaGame) factory() Game {
 	return func() (func(int), func(int), func() float64) {
 		demand := make([]float64, g.slices)
 		add := func(i int) {
@@ -106,7 +106,7 @@ func requireTableBits(t *testing.T, ctx string, got, want []float64) {
 // pinned by: random games, random chained perturbations (single-player,
 // multi-player, revert-to-original), random worker counts everywhere, and
 // after every apply the wrapped table must equal a scratch rebuild
-// Float64bits-exactly — via both the plain and the incremental builder —
+// Float64bits-exactly — via both a plain and an incremental game —
 // with fingerprints matching a freshly wrapped table and stats matching
 // the affected-coalition count exactly.
 func TestDeltaTableDifferential(t *testing.T) {
@@ -123,9 +123,9 @@ func TestDeltaTableDifferential(t *testing.T) {
 		var dt *DeltaTable
 		var err error
 		if seed%2 == 0 {
-			dt, err = NewDeltaTable(n, g.plain(), 1+rng.Intn(4))
+			dt, err = NewDeltaTable(n, setGame(g.plain()), 1+rng.Intn(4))
 		} else {
-			dt, err = NewDeltaTableIncremental(n, g.factory(), 1+rng.Intn(4))
+			dt, err = NewDeltaTable(n, g.factory(), 1+rng.Intn(4))
 		}
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
@@ -160,19 +160,19 @@ func TestDeltaTableDifferential(t *testing.T) {
 
 			var stats DeltaStats
 			if step%2 == 0 {
-				stats, err = dt.ApplyIncremental(changed, g.factory(), 1+rng.Intn(4))
+				stats, err = dt.Apply(changed, g.factory(), 1+rng.Intn(4))
 			} else {
-				stats, err = dt.Apply(changed, g.plain(), 1+rng.Intn(4))
+				stats, err = dt.Apply(changed, setGame(g.plain()), 1+rng.Intn(4))
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d: apply: %v", seed, step, err)
 			}
 
-			scratch, err := BuildTableParallel(n, g.plain(), 1+rng.Intn(3))
+			scratch, err := buildTable(n, setGame(g.plain()), 1+rng.Intn(3))
 			if err != nil {
 				t.Fatalf("seed %d step %d: scratch: %v", seed, step, err)
 			}
-			incr, err := BuildTableIncrementalParallel(n, g.factory(), 1+rng.Intn(3))
+			incr, err := buildTable(n, g.factory(), 1+rng.Intn(3))
 			if err != nil {
 				t.Fatalf("seed %d step %d: scratch incremental: %v", seed, step, err)
 			}
@@ -180,11 +180,11 @@ func TestDeltaTableDifferential(t *testing.T) {
 			requireTableBits(t, "delta vs BuildTableIncrementalParallel", dt.Table(), incr)
 
 			// The Shapley reduction over the delta table must match too.
-			wantPhi, err := ExactFromTable(n, scratch)
+			wantPhi, err := ExactFromTable(n, scratch, 1)
 			if err != nil {
 				t.Fatalf("seed %d step %d: phi: %v", seed, step, err)
 			}
-			gotPhi, err := ExactFromTableParallel(n, dt.Table(), 1+rng.Intn(3))
+			gotPhi, err := ExactFromTable(n, dt.Table(), 1+rng.Intn(3))
 			if err != nil {
 				t.Fatalf("seed %d step %d: phi from delta: %v", seed, step, err)
 			}
@@ -242,13 +242,13 @@ func TestDeltaTableDegenerate(t *testing.T) {
 			for i := 0; i < tc.n; i++ {
 				g.vecs = append(g.vecs, tc.vec(i))
 			}
-			dt, err := NewDeltaTableIncremental(tc.n, g.factory(), 1)
+			dt, err := NewDeltaTable(tc.n, g.factory(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			// Re-applying the unchanged game must keep every fingerprint.
-			stats, err := dt.ApplyIncremental(1, g.factory(), 1)
+			stats, err := dt.Apply(1, g.factory(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestDeltaTableDegenerate(t *testing.T) {
 			for s := range g.vecs[0] {
 				g.vecs[0][s] = float64(5 + s)
 			}
-			if _, err := dt.Apply(1, g.plain(), 1); err != nil {
+			if _, err := dt.Apply(1, setGame(g.plain()), 1); err != nil {
 				t.Fatal(err)
 			}
 			scratch, err := BuildTable(tc.n, g.plain())
@@ -281,7 +281,7 @@ func TestDeltaTableWorkerInvariance(t *testing.T) {
 	const n = 9
 	g := randomDeltaGame(rng, n, 4)
 	build := func() *DeltaTable {
-		dt, err := NewDeltaTableIncremental(n, g.factory(), 1)
+		dt, err := NewDeltaTable(n, g.factory(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestDeltaTableWorkerInvariance(t *testing.T) {
 		dt := build()
 		g.vecs[2] = []float64{9, 9, 0, 1}
 		g.vecs[7] = []float64{0, 0, 0, 0}
-		stats, err := dt.ApplyIncremental(1<<2|1<<7, g.factory(), w)
+		stats, err := dt.Apply(1<<2|1<<7, g.factory(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,48 +316,48 @@ func TestDeltaTableWorkerInvariance(t *testing.T) {
 
 func TestDeltaTableErrors(t *testing.T) {
 	g := randomDeltaGame(rand.New(rand.NewSource(1)), 3, 2)
-	dt, err := NewDeltaTable(3, g.plain(), 1)
+	dt, err := NewDeltaTable(3, setGame(g.plain()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dt.Apply(1, nil, 1); !errors.Is(err, ErrNilGame) {
 		t.Errorf("nil SetFunc: got %v, want ErrNilGame", err)
 	}
-	if _, err := dt.ApplyIncremental(1, nil, 1); !errors.Is(err, ErrNilGame) {
+	if _, err := dt.Apply(1, nil, 2); !errors.Is(err, ErrNilGame) {
 		t.Errorf("nil factory: got %v, want ErrNilGame", err)
 	}
 	for _, workers := range []int{1, 2} {
-		if _, err := dt.ApplyIncremental(1, func() (func(int), func(int), func() float64) {
+		if _, err := dt.Apply(1, func() (func(int), func(int), func() float64) {
 			return nil, nil, nil
 		}, workers); !errors.Is(err, ErrNilGame) {
 			t.Errorf("nil triple (workers=%d): got %v, want ErrNilGame", workers, err)
 		}
 	}
-	if _, err := dt.Apply(1<<3, g.plain(), 1); !errors.Is(err, ErrChangedPlayers) {
+	if _, err := dt.Apply(1<<3, setGame(g.plain()), 1); !errors.Is(err, ErrChangedPlayers) {
 		t.Errorf("out-of-range mask: got %v, want ErrChangedPlayers", err)
 	}
-	if _, err := dt.ApplyIncremental(1<<40, g.factory(), 1); !errors.Is(err, ErrChangedPlayers) {
+	if _, err := dt.Apply(1<<40, g.factory(), 1); !errors.Is(err, ErrChangedPlayers) {
 		t.Errorf("far out-of-range mask: got %v, want ErrChangedPlayers", err)
 	}
-	if _, err := NewDeltaTable(0, g.plain(), 1); !errors.Is(err, ErrNoPlayers) {
+	if _, err := NewDeltaTable(0, setGame(g.plain()), 1); !errors.Is(err, ErrNoPlayers) {
 		t.Errorf("n=0: got %v, want ErrNoPlayers", err)
 	}
-	if _, err := NewDeltaTable(MaxExactPlayers+1, g.plain(), 1); !errors.Is(err, ErrTooManyExactPlayers) {
+	if _, err := NewDeltaTable(MaxExactPlayers+1, setGame(g.plain()), 1); !errors.Is(err, ErrTooManyExactPlayers) {
 		t.Errorf("n too large: got %v, want ErrTooManyExactPlayers", err)
 	}
-	if _, err := NewDeltaTableIncremental(3, nil, 1); !errors.Is(err, ErrNilGame) {
+	if _, err := NewDeltaTable(3, nil, 1); !errors.Is(err, ErrNilGame) {
 		t.Errorf("nil factory at build: got %v, want ErrNilGame", err)
 	}
 
 	// A panicking game inside a parallel delta apply must surface as a
 	// *WorkerPanicError, like every other parallel entry point.
-	if _, err := dt.Apply(1, func(uint64) float64 { panic("boom") }, 2); !errors.Is(err, ErrWorkerPanic) {
+	if _, err := dt.Apply(1, setGame(func(uint64) float64 { panic("boom") }), 2); !errors.Is(err, ErrWorkerPanic) {
 		t.Errorf("panicking game: got %v, want ErrWorkerPanic", err)
 	}
 
 	// changed == 0 is a no-op that skips everything.
 	before := append([]float64(nil), dt.Table()...)
-	stats, err := dt.Apply(0, g.plain(), 1)
+	stats, err := dt.Apply(0, setGame(g.plain()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,43 +365,6 @@ func TestDeltaTableErrors(t *testing.T) {
 		t.Errorf("no-op apply stats %+v", stats)
 	}
 	requireTableBits(t, "no-op apply", dt.Table(), before)
-}
-
-// TestExactFromTableIntoMatchesExactFromTable pins the scratch-arena
-// reduction to the allocating one, bit for bit.
-func TestExactFromTableIntoMatchesExactFromTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(10)
-		table := make([]float64, 1<<uint(n))
-		for i := range table {
-			table[i] = rng.Float64() * 100
-		}
-		want, err := ExactFromTable(n, table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phi := make([]float64, n)
-		w := make([]float64, n)
-		// Dirty scratch must not leak into the result.
-		for i := range phi {
-			phi[i], w[i] = math.Inf(1), -1
-		}
-		if err := ExactFromTableInto(n, table, phi, w); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Float64bits(phi[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: phi[%d] %v != %v", trial, i, phi[i], want[i])
-			}
-		}
-	}
-	if err := ExactFromTableInto(2, make([]float64, 4), make([]float64, 1), make([]float64, 2)); !errors.Is(err, ErrScratchSize) {
-		t.Error("short phi scratch accepted")
-	}
-	if err := ExactFromTableInto(2, make([]float64, 3), make([]float64, 2), make([]float64, 2)); !errors.Is(err, ErrTableSize) {
-		t.Error("bad table length accepted")
-	}
 }
 
 // TestPeakGameIntoMatchesPeakGame pins the allocation-free peak-game
@@ -451,7 +414,7 @@ func TestDeltaApplyDoesNotAllocate(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race for the pin")
 	}
 	g := randomDeltaGame(rand.New(rand.NewSource(3)), 10, 4)
-	dt, err := NewDeltaTableIncremental(10, g.factory(), 1)
+	dt, err := NewDeltaTable(10, g.factory(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,17 +424,7 @@ func TestDeltaApplyDoesNotAllocate(t *testing.T) {
 	add, remove, value := g.factory()()
 	factory := func() (func(int), func(int), func() float64) { return add, remove, value }
 	avg := testing.AllocsPerRun(100, func() {
-		if _, err := dt.ApplyIncremental(1<<3|1<<8, factory, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("ApplyIncremental allocates %v times per run, want 0", avg)
-	}
-
-	plain := g.plain()
-	avg = testing.AllocsPerRun(100, func() {
-		if _, err := dt.Apply(1<<2, plain, 1); err != nil {
+		if _, err := dt.Apply(1<<3|1<<8, factory, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -484,26 +437,10 @@ func TestExactScratchPathsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the pin")
 	}
-	g := randomDeltaGame(rand.New(rand.NewSource(5)), 10, 4)
-	dt, err := NewDeltaTableIncremental(10, g.factory(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := make([]float64, 10)
-	w := make([]float64, 10)
-	avg := testing.AllocsPerRun(50, func() {
-		if err := ExactFromTableInto(10, dt.Table(), phi, w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("ExactFromTableInto allocates %v times per run, want 0", avg)
-	}
-
 	peaks := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	pphi := make([]float64, len(peaks))
 	idx := make([]int, len(peaks))
-	avg = testing.AllocsPerRun(100, func() {
+	avg := testing.AllocsPerRun(100, func() {
 		if err := PeakGameInto(peaks, pphi, idx); err != nil {
 			t.Fatal(err)
 		}

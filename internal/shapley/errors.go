@@ -37,8 +37,8 @@ var (
 	ErrNilMarginals = errors.New("shapley: nil marginals function")
 	// ErrTableSize reports a coalition table whose length is not 2^n.
 	ErrTableSize = errors.New("shapley: coalition table length is not 2^n")
-	// ErrScratchSize reports a caller-provided scratch buffer (phi, weights,
-	// sort indices) whose length does not match the player count.
+	// ErrScratchSize reports a caller-provided scratch buffer (phi, sort
+	// indices) whose length does not match the player count.
 	ErrScratchSize = errors.New("shapley: scratch buffer length mismatch")
 	// ErrChangedPlayers reports a delta-apply changed-player mask with bits
 	// outside the table's n players.

@@ -29,9 +29,9 @@ func TestTypedErrorPaths(t *testing.T) {
 		{"Exact/no players", func() ([]float64, error) { return Exact(0, game) }, ErrNoPlayers},
 		{"Exact/too many players", func() ([]float64, error) { return Exact(MaxExactPlayers+1, game) }, ErrTooManyExactPlayers},
 		{"BuildTable/nil game", func() ([]float64, error) { return BuildTable(3, nil) }, ErrNilGame},
-		{"BuildTableIncremental/no players", func() ([]float64, error) { return BuildTableIncremental(0, nil, nil, nil) }, ErrNoPlayers},
-		{"BuildTableIncremental/nil game", func() ([]float64, error) { return BuildTableIncremental(3, nil, nil, nil) }, ErrNilGame},
-		{"ExactFromTable/table size", func() ([]float64, error) { return ExactFromTable(3, make([]float64, 7)) }, ErrTableSize},
+		{"BuildTableIncremental/no players", func() ([]float64, error) { return buildTable(0, nil, 1) }, ErrNoPlayers},
+		{"BuildTableIncremental/nil game", func() ([]float64, error) { return buildTable(3, nil, 1) }, ErrNilGame},
+		{"ExactFromTable/table size", func() ([]float64, error) { return ExactFromTable(3, make([]float64, 7), 1) }, ErrTableSize},
 		{"MonteCarlo/no players", func() ([]float64, error) { return MonteCarlo(0, game, 1, rng) }, ErrNoPlayers},
 		{"MonteCarlo/too many players", func() ([]float64, error) { return MonteCarlo(64, game, 1, rng) }, ErrTooManyPlayers},
 		{"MonteCarlo/no samples", func() ([]float64, error) { return MonteCarlo(2, game, 0, rng) }, ErrTooFewSamples},
@@ -50,20 +50,18 @@ func TestTypedErrorPaths(t *testing.T) {
 		{"SampledOrdered/nil marginals", func() ([]float64, error) { return SampledOrdered(2, nil, 1, rng) }, ErrNilMarginals},
 		{"SampledOrdered/nil rng", func() ([]float64, error) { return SampledOrdered(2, marginals, 1, nil) }, ErrNilRNG},
 
-		{"BuildTableParallel/no players", func() ([]float64, error) { return BuildTableParallel(0, game, 2) }, ErrNoPlayers},
-		{"BuildTableParallel/nil game", func() ([]float64, error) { return BuildTableParallel(3, nil, 2) }, ErrNilGame},
-		{"BuildTableIncrementalParallel/nil factory", func() ([]float64, error) { return BuildTableIncrementalParallel(3, nil, 2) }, ErrNilGame},
+		{"BuildTableParallel/no players", func() ([]float64, error) { return buildTable(0, setGame(game), 2) }, ErrNoPlayers},
+		{"BuildTableParallel/nil game", func() ([]float64, error) { return buildTable(3, nil, 2) }, ErrNilGame},
+		{"BuildTableIncrementalParallel/nil factory", func() ([]float64, error) { return buildTable(3, nil, 2) }, ErrNilGame},
 		{"BuildTableIncrementalParallel/nil triple", func() ([]float64, error) {
-			return BuildTableIncrementalParallel(3, func() (func(int), func(int), func() float64) { return nil, nil, nil }, 2)
+			return buildTable(3, func() (func(int), func(int), func() float64) { return nil, nil, nil }, 2)
 		}, ErrNilGame},
-		{"ExactParallel/too many players", func() ([]float64, error) { return ExactParallel(MaxExactPlayers+1, game, 2) }, ErrTooManyExactPlayers},
-		{"ExactFromTableParallel/table size", func() ([]float64, error) { return ExactFromTableParallel(3, make([]float64, 9), 2) }, ErrTableSize},
+		{"ExactParallel/too many players", func() ([]float64, error) { return exactParallel(MaxExactPlayers+1, game, 2) }, ErrTooManyExactPlayers},
+		{"ExactFromTableParallel/table size", func() ([]float64, error) { return ExactFromTable(3, make([]float64, 9), 2) }, ErrTableSize},
 		{"MonteCarloParallel/no players", func() ([]float64, error) { return MonteCarloParallel(0, game, 1, 1, 2) }, ErrNoPlayers},
 		{"MonteCarloParallel/too many players", func() ([]float64, error) { return MonteCarloParallel(64, game, 1, 1, 2) }, ErrTooManyPlayers},
 		{"MonteCarloParallel/no samples", func() ([]float64, error) { return MonteCarloParallel(2, game, 0, 1, 2) }, ErrTooFewSamples},
 		{"MonteCarloParallel/nil game", func() ([]float64, error) { return MonteCarloParallel(2, nil, 1, 1, 2) }, ErrNilGame},
-		{"MonteCarloAntitheticParallel/odd samples", func() ([]float64, error) { return MonteCarloAntitheticParallel(2, game, 5, 1, 2) }, ErrOddAntitheticSamples},
-		{"MonteCarloAntitheticParallel/nil game", func() ([]float64, error) { return MonteCarloAntitheticParallel(2, nil, 2, 1, 2) }, ErrNilGame},
 		{"SampledOrderedParallel/no players", func() ([]float64, error) { return SampledOrderedParallel(0, newMarginals, 1, 1, 2) }, ErrNoPlayers},
 		{"SampledOrderedParallel/no samples", func() ([]float64, error) { return SampledOrderedParallel(2, newMarginals, 0, 1, 2) }, ErrTooFewSamples},
 		{"SampledOrderedParallel/nil factory", func() ([]float64, error) { return SampledOrderedParallel(2, nil, 1, 1, 2) }, ErrNilMarginals},
@@ -88,7 +86,7 @@ func TestTypedErrorPaths(t *testing.T) {
 	if _, err := MonteCarlo(2, game, 1, rng); err != nil {
 		t.Errorf("minimal valid MonteCarlo call failed: %v", err)
 	}
-	if _, err := BuildTableIncrementalParallel(2, newGame, 1); err != nil {
+	if _, err := buildTable(2, newGame, 1); err != nil {
 		t.Errorf("minimal valid incremental parallel call failed: %v", err)
 	}
 }

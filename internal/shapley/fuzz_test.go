@@ -33,7 +33,7 @@ func FuzzExactFromTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := int(nRaw)%12 + 1
 		table := tableFromBytes(n, data)
-		phi, err := ExactFromTable(n, table)
+		phi, err := ExactFromTable(n, table, 1)
 		if err != nil {
 			t.Fatalf("valid table rejected: %v", err)
 		}
@@ -47,7 +47,7 @@ func FuzzExactFromTable(f *testing.F) {
 		}
 		// The parallel solver must agree bit-for-bit on anything the fuzzer
 		// finds, with any worker count.
-		par, err := ExactFromTableParallel(n, table, int(nRaw)%5+1)
+		par, err := ExactFromTable(n, table, int(nRaw)%5+1)
 		if err != nil {
 			t.Fatalf("parallel solver rejected valid table: %v", err)
 		}
@@ -62,7 +62,7 @@ func FuzzExactFromTable(f *testing.F) {
 // FuzzDeltaTable drives a DeltaTable through a fuzzer-chosen game and
 // perturbation chain and demands the invariant the whole delta engine rests
 // on: after every apply, the wrapped table is Float64bits-identical to a
-// fresh BuildTableParallel of the current game, with the re-evaluated
+// fresh scratch build of the current game, with the re-evaluated
 // coalition count exactly 2^n - 2^(n-k) for k changed players.
 func FuzzDeltaTable(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -90,7 +90,7 @@ func FuzzDeltaTable(f *testing.F) {
 			}
 			g.vecs[i] = vec
 		}
-		dt, err := NewDeltaTableIncremental(n, g.factory(), int(nRaw)%3+1)
+		dt, err := NewDeltaTable(n, g.factory(), int(nRaw)%3+1)
 		if err != nil {
 			t.Fatalf("build rejected valid game: %v", err)
 		}
@@ -105,9 +105,9 @@ func FuzzDeltaTable(f *testing.F) {
 			workers := int(next())%3 + 1
 			var stats DeltaStats
 			if step%2 == 0 {
-				stats, err = dt.ApplyIncremental(changed, g.factory(), workers)
+				stats, err = dt.Apply(changed, g.factory(), workers)
 			} else {
-				stats, err = dt.Apply(changed, g.plain(), workers)
+				stats, err = dt.Apply(changed, setGame(g.plain()), workers)
 			}
 			if err != nil {
 				t.Fatalf("step %d: apply: %v", step, err)
@@ -117,7 +117,7 @@ func FuzzDeltaTable(f *testing.F) {
 				t.Fatalf("step %d: %d coalitions re-evaluated, want %d (n=%d, k=%d)",
 					step, stats.Coalitions, want, n, k)
 			}
-			scratch, err := BuildTableParallel(n, g.plain(), workers)
+			scratch, err := buildTable(n, setGame(g.plain()), workers)
 			if err != nil {
 				t.Fatalf("step %d: scratch: %v", step, err)
 			}

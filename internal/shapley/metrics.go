@@ -25,8 +25,7 @@ var (
 )
 
 // Parallel-engine instrumentation, labeled by solver mode (build-table,
-// build-table-incremental, exact-from-table, monte-carlo, antithetic,
-// sampled-ordered). Busy/wall counters accumulate across runs so rate()
+// exact-from-table, delta-apply, monte-carlo, sampled-ordered). Busy/wall counters accumulate across runs so rate()
 // yields long-run utilization; the gauges snapshot the most recent run so a
 // dashboard can watch effective speedup next to the sample counters.
 var (

@@ -29,20 +29,17 @@ func TestWorkerPanicIsolation(t *testing.T) {
 			name string
 			call func() ([]float64, error)
 		}{
-			{"BuildTableParallel", func() ([]float64, error) { return BuildTableParallel(6, panicGame, workers) }},
+			{"BuildTableParallel", func() ([]float64, error) { return buildTable(6, setGame(panicGame), workers) }},
 			{"BuildTableIncrementalParallel", func() ([]float64, error) {
-				return BuildTableIncrementalParallel(6, newPanicGame, workers)
+				return buildTable(6, newPanicGame, workers)
 			}},
-			{"ExactParallel", func() ([]float64, error) { return ExactParallel(6, panicGame, workers) }},
+			{"ExactParallel", func() ([]float64, error) { return exactParallel(6, panicGame, workers) }},
 			{"MonteCarloParallel", func() ([]float64, error) { return MonteCarloParallel(6, panicGame, 64, 1, workers) }},
-			{"MonteCarloAntitheticParallel", func() ([]float64, error) {
-				return MonteCarloAntitheticParallel(6, panicGame, 64, 1, workers)
-			}},
 			{"SampledOrderedParallel", func() ([]float64, error) {
 				return SampledOrderedParallel(6, newPanicMarginals, 64, 1, workers)
 			}},
 			{"BuildTableIncrementalCheckpointed", func() ([]float64, error) {
-				return BuildTableIncrementalCheckpointed(context.Background(), 6, newPanicGame, workers,
+				return BuildGameTable(context.Background(), 6, newPanicGame, workers,
 					checkpoint.Spec{Dir: t.TempDir(), Every: 1})
 			}},
 		}
@@ -84,11 +81,11 @@ func TestWorkerPanicDoesNotPoisonNextRun(t *testing.T) {
 		}
 		return float64(mask)
 	}
-	if _, err := BuildTableParallel(4, flaky, 1); !errors.Is(err, ErrWorkerPanic) {
+	if _, err := buildTable(4, setGame(flaky), 1); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("first run: %v", err)
 	}
 	good := func(mask uint64) float64 { return float64(mask) }
-	if _, err := BuildTableParallel(4, good, 2); err != nil {
+	if _, err := buildTable(4, setGame(good), 2); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 }

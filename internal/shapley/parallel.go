@@ -1,6 +1,7 @@
 package shapley
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -9,32 +10,34 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fairco2/internal/checkpoint"
 )
 
-// The parallel execution layer. Every estimator here is a sharding +
-// reduction wrapper around the serial core in shapley.go / ordered.go /
-// antithetic.go — the game logic is never duplicated, so the serial
-// functions remain the single source of truth and the differential tests in
-// parallel_test.go can check the wrappers against exact serial emulations.
+// The execution layer. One blocked builder (BuildGameTable) fills every
+// coalition table — serial, parallel, checkpointed, and the delta engine's
+// initial build — and one player-partitioned reduction (ExactFromTable)
+// turns a table into Shapley values; the sampling estimators are sharding +
+// reduction wrappers around the serial cores in shapley.go and ordered.go.
 //
 // Determinism contract:
 //
-//   - BuildTableParallel, ExactFromTableParallel and ExactParallel return
-//     results bit-for-bit identical to their serial counterparts for any
-//     worker count: table entries are pure per-coalition values, and the
-//     Shapley reduction partitions PLAYERS (not coalitions) across workers,
-//     so every phi[i] accumulates its terms in exactly the serial order.
-//   - BuildTableIncrementalParallel enumerates a fixed number of gray-code
-//     blocks with fresh per-block state, so its output is independent of
-//     the worker count; it equals the serial builder exactly whenever the
-//     incremental state's arithmetic is exact over add/remove (e.g.
-//     integer-valued demands), and within FP rounding otherwise.
-//   - The sampling estimators (MonteCarloParallel and friends) shard the
-//     sample budget across workers, each with an independent rng seeded via
-//     WorkerSeeds. Their output is bit-for-bit reproducible for a given
-//     (seed, worker count) but intentionally differs between worker counts
-//     and from the serial single-stream estimators: all variants are
-//     unbiased draws of the same estimator, not the same draw.
+//   - BuildGameTable enumerates a fixed set of gray-code blocks with fresh
+//     per-block state, so its table does not depend on the worker count or
+//     on where a checkpointed build was interrupted. It equals the
+//     per-mask reference BuildTable exactly whenever the game's arithmetic
+//     is exact over add/remove (integer-valued demands, or a game that
+//     evaluates each mask from scratch), and within FP rounding otherwise.
+//   - ExactFromTable partitions PLAYERS (not coalitions) across workers, so
+//     every phi[i] accumulates its terms in ascending mask order and the
+//     result is bit-for-bit identical for any worker count; one worker is
+//     the serial reduction.
+//   - The sampling estimators (MonteCarloParallel, SampledOrderedParallel)
+//     shard the sample budget across workers, each with an independent rng
+//     seeded via WorkerSeeds. Their output is bit-for-bit reproducible for
+//     a given (seed, worker count) but intentionally differs between
+//     worker counts and from the serial single-stream estimators: all
+//     variants are unbiased draws of the same estimator, not the same draw.
 
 // resolveWorkers maps the public Parallelism convention to a concrete
 // worker count: values below 1 mean "one worker per available CPU".
@@ -88,70 +91,67 @@ func runWorkers(workers int, fn func(w int)) (time.Duration, error) {
 	return time.Duration(busy.Load()), nil
 }
 
-// BuildTableParallel evaluates v over all 2^n coalitions like BuildTable,
-// block-partitioning the mask range across workers (<= 0 selects one worker
-// per CPU). v is called exactly once per coalition, concurrently, so it
-// must be safe for concurrent use (pure functions and closures over
-// read-only state qualify). The returned table is bit-for-bit identical to
-// BuildTable's for any worker count.
-func BuildTableParallel(n int, v SetFunc, workers int) ([]float64, error) {
-	if err := checkExactN(n); err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, ErrNilGame
-	}
-	start := time.Now()
-	table := make([]float64, 1<<uint(n))
-	workers = min(resolveWorkers(workers), len(table))
-	busy, err := runWorkers(workers, func(w int) {
-		lo, hi := blockRange(len(table), workers, w)
-		for mask := lo; mask < hi; mask++ {
-			table[mask] = v(uint64(mask))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	metricExactCoalitions.Add(float64(len(table)))
-	observeParallel("build-table", workers, time.Since(start), busy)
-	return table, nil
+// Game is an incremental characteristic function: each call returns fresh,
+// independent state for the empty coalition, where add(i) joins player i,
+// remove(i) drops it and value() is the current coalition's value. A
+// caller whose value is expensive from scratch (the peak of a summed
+// demand curve) pays only O(update) per coalition, and the builders take
+// one fresh state per block or worker, so concurrent blocks never share
+// it.
+type Game func() (add, remove func(player int), value func() float64)
+
+// tablePrefixBits fixes the number of gray-code blocks a coalition table is
+// enumerated in: 2^6 = 64 blocks load-balance well past any realistic CPU
+// count while keeping the per-block setup cost (O(n) adds and one fresh
+// state) negligible against the 2^(n-6) coalitions inside. Block b covers
+// the masks whose high bits equal b, so every builder, the checkpoint
+// snapshots and the delta fingerprints share one decomposition.
+const tablePrefixBits = 6
+
+// tableBlocks returns the block decomposition of an n-player table: low
+// free bits per block and the block count.
+func tableBlocks(n int) (low, blocks int) {
+	prefix := min(n, tablePrefixBits)
+	return n - prefix, 1 << uint(prefix)
 }
 
-// incrementalPrefixBits fixes the number of gray-code blocks enumerated by
-// BuildTableIncrementalParallel: 2^6 = 64 blocks load-balance well past any
-// realistic CPU count while keeping the per-block setup cost (O(n) adds and
-// one fresh state) negligible against the 2^(n-6) coalitions inside.
-const incrementalPrefixBits = 6
-
-// BuildTableIncrementalParallel is the parallel form of
-// BuildTableIncremental. Because incremental state is inherently mutable,
-// the caller supplies a factory: newGame must return a fresh, independent
-// (add, remove, value) triple describing the empty coalition. The mask
-// range is split into a fixed number of blocks by their high bits; each
-// block is enumerated with fresh state — the block's fixed players are
-// added once, then the remaining players walk in gray-code order so every
-// step toggles exactly one player. The block count does not depend on the
-// worker count, so the output is deterministic for any parallelism.
-func BuildTableIncrementalParallel(n int, newGame func() (add, remove func(player int), value func() float64), workers int) ([]float64, error) {
+// BuildGameTable evaluates g over all 2^n coalitions into a dense table
+// indexed by bitmask. The mask range is split into a fixed number of blocks
+// by their high bits; each block is enumerated with fresh state from g —
+// the block's fixed players added once, then the remaining players walked
+// in gray-code order so every step toggles exactly one player. The block
+// count does not depend on workers (<= 0 selects one per CPU, 1 is the
+// serial build), so the table is identical for any worker count.
+//
+// ctx is checked between blocks. A zero ck builds in memory; an enabled ck
+// flushes finished blocks to the checkpoint store every ck.Every blocks,
+// and a restart recomputes only the missing ones. The snapshot records
+// only the player count, not the game itself — resuming against a
+// different game silently builds a mixed table, so callers must key the
+// checkpoint directory to the game (the CLIs use one directory per run
+// configuration).
+func BuildGameTable(ctx context.Context, n int, g Game, workers int, ck checkpoint.Spec) ([]float64, error) {
 	if err := checkExactN(n); err != nil {
 		return nil, err
 	}
-	if newGame == nil {
+	if g == nil {
 		return nil, ErrNilGame
 	}
-	start := time.Now()
-	prefixBits := min(n, incrementalPrefixBits)
-	low := n - prefixBits
-	blocks := 1 << uint(prefixBits)
+	low, blocks := tableBlocks(n)
 	table := make([]float64, 1<<uint(n))
 	workers = min(resolveWorkers(workers), blocks)
+	if ck.Enabled() {
+		return buildCheckpointed(ctx, n, g, workers, ck, table)
+	}
+	// A static split, not checkpoint.RunUnits: its per-block channel
+	// handoff costs more than a small table's whole build.
+	start := time.Now()
 	errs := make([]error, workers)
 	busy, panicErr := runWorkers(workers, func(w int) {
 		blo, bhi := blockRange(blocks, workers, w)
-		for b := blo; b < bhi; b++ {
-			if errs[w] = enumerateBlock(low, b, newGame, table); errs[w] != nil {
-				return
+		for b := blo; b < bhi && errs[w] == nil; b++ {
+			if errs[w] = ctx.Err(); errs[w] == nil {
+				errs[w] = enumerateBlock(low, b, g, table)
 			}
 		}
 	})
@@ -164,19 +164,17 @@ func BuildTableIncrementalParallel(n int, newGame func() (add, remove func(playe
 		}
 	}
 	metricExactCoalitions.Add(float64(len(table)))
-	observeParallel("build-table-incremental", workers, time.Since(start), busy)
+	observeParallel("build-table", workers, time.Since(start), busy)
 	return table, nil
 }
 
 // enumerateBlock fills the coalition table for the masks whose high bits
-// equal b: fresh incremental state from newGame, the block's fixed players
-// added once, then a gray-code walk over the low players — gray(j) and
-// gray(j+1) differ in bit TrailingZeros(j+1), so each coalition after the
-// first costs one add or remove plus one value(). Shared by the parallel
-// and the checkpointed incremental table builders, so both produce the
-// same enumeration (and therefore identical tables) per block.
-func enumerateBlock(low, b int, newGame func() (add, remove func(player int), value func() float64), table []float64) error {
-	add, remove, value := newGame()
+// equal b: fresh state from g, the block's fixed players added once, then a
+// gray-code walk over the low players — gray(j) and gray(j+1) differ in bit
+// TrailingZeros(j+1), so each coalition after the first costs one add or
+// remove plus one value().
+func enumerateBlock(low, b int, g Game, table []float64) error {
+	add, remove, value := g()
 	if add == nil || remove == nil || value == nil {
 		return ErrNilGame
 	}
@@ -199,13 +197,17 @@ func enumerateBlock(low, b int, newGame func() (add, remove func(player int), va
 	return nil
 }
 
-// ExactFromTableParallel computes exact Shapley values from a dense
-// coalition table like ExactFromTable, partitioning the PLAYERS across
-// workers: each worker scans the whole table in ascending mask order but
-// accumulates only its players' marginals. Per-player accumulation order is
-// therefore exactly the serial order, making the result bit-for-bit
-// identical to ExactFromTable for any worker count.
-func ExactFromTableParallel(n int, table []float64, workers int) ([]float64, error) {
+// ExactFromTable computes exact Shapley values from a dense table of
+// coalition values indexed by bitmask (len(table) must be 2^n):
+//
+//	phi_i = sum over S not containing i of
+//	        |S|! (n-|S|-1)! / n!  *  (v(S u {i}) - v(S))
+//
+// The PLAYERS are partitioned across workers (<= 0 selects one per CPU):
+// each worker scans the whole table in ascending mask order but accumulates
+// only its players' marginals, so every phi[i] sums its terms in the same
+// order for any worker count and the result is bit-for-bit identical.
+func ExactFromTable(n int, table []float64, workers int) ([]float64, error) {
 	if err := checkExactN(n); err != nil {
 		return nil, err
 	}
@@ -214,7 +216,7 @@ func ExactFromTableParallel(n int, table []float64, workers int) ([]float64, err
 	}
 	start := time.Now()
 	workers = min(resolveWorkers(workers), n)
-	// w[s] = s!(n-s-1)!/n!, as in the serial solver.
+	// w[s] = s!(n-s-1)!/n! = 1 / (n * C(n-1, s)).
 	w := make([]float64, n)
 	for s := 0; s < n; s++ {
 		w[s] = 1 / (float64(n) * binomial(n-1, s))
@@ -223,9 +225,6 @@ func ExactFromTableParallel(n int, table []float64, workers int) ([]float64, err
 	full := uint64(1)<<uint(n) - 1
 	busy, err := runWorkers(workers, func(wk int) {
 		plo, phiHi := blockRange(n, workers, wk)
-		if plo == phiHi {
-			return
-		}
 		// The worker's players as a bitmask, so the inner loop can skip
 		// masks that already contain all of them.
 		var mine uint64
@@ -254,17 +253,6 @@ func ExactFromTableParallel(n int, table []float64, workers int) ([]float64, err
 	return phi, nil
 }
 
-// ExactParallel is the parallel form of Exact: BuildTableParallel followed
-// by ExactFromTableParallel. v must be safe for concurrent use. The result
-// is bit-for-bit identical to Exact for any worker count.
-func ExactParallel(n int, v SetFunc, workers int) ([]float64, error) {
-	table, err := BuildTableParallel(n, v, workers)
-	if err != nil {
-		return nil, err
-	}
-	return ExactFromTableParallel(n, table, workers)
-}
-
 // MonteCarloParallel estimates Shapley values like MonteCarlo with the
 // permutation budget sharded across workers (<= 0 selects one worker per
 // CPU; the count is clamped to samples). Worker w runs the serial estimator
@@ -279,32 +267,9 @@ func MonteCarloParallel(n int, v SetFunc, samples int, seed int64, workers int) 
 	if v == nil {
 		return nil, ErrNilGame
 	}
-	return sampledParallel("monte-carlo", n, samples, seed, workers, 1,
+	return sampledParallel("monte-carlo", n, samples, seed, workers,
 		func(share int, rng *rand.Rand) ([]float64, error) {
 			return MonteCarlo(n, v, share, rng)
-		})
-}
-
-// MonteCarloAntitheticParallel is the parallel form of MonteCarloAntithetic:
-// the PAIR budget (samples/2) is sharded across workers, so every worker
-// keeps the even sample count the antithetic construction needs. Same
-// determinism contract as MonteCarloParallel.
-func MonteCarloAntitheticParallel(n int, v SetFunc, samples int, seed int64, workers int) ([]float64, error) {
-	if n < 1 {
-		return nil, ErrNoPlayers
-	}
-	if n > 63 {
-		return nil, ErrTooManyPlayers
-	}
-	if samples < 2 || samples%2 != 0 {
-		return nil, ErrOddAntitheticSamples
-	}
-	if v == nil {
-		return nil, ErrNilGame
-	}
-	return sampledParallel("antithetic", n, samples, seed, workers, 2,
-		func(share int, rng *rand.Rand) ([]float64, error) {
-			return MonteCarloAntithetic(n, v, share, rng)
 		})
 }
 
@@ -323,7 +288,7 @@ func SampledOrderedParallel(n int, newMarginals func() OrderedMarginals, samples
 	if newMarginals == nil {
 		return nil, ErrNilMarginals
 	}
-	return sampledParallel("sampled-ordered", n, samples, seed, workers, 1,
+	return sampledParallel("sampled-ordered", n, samples, seed, workers,
 		func(share int, rng *rand.Rand) ([]float64, error) {
 			m := newMarginals()
 			if m == nil {
@@ -333,20 +298,19 @@ func SampledOrderedParallel(n int, newMarginals func() OrderedMarginals, samples
 		})
 }
 
-// sampledParallel shards a sample budget across workers in units of `unit`
-// samples (1, or 2 for antithetic pairs), runs the serial estimator per
-// shard, and reduces the per-worker averages with their sample weights in
-// worker order. Arguments are pre-validated by the exported wrappers.
-func sampledParallel(mode string, n, samples int, seed int64, workers, unit int, run func(share int, rng *rand.Rand) ([]float64, error)) ([]float64, error) {
+// sampledParallel shards a sample budget across workers, runs the serial
+// estimator per shard, and reduces the per-worker averages with their
+// sample weights in worker order. Arguments are pre-validated by the
+// exported wrappers.
+func sampledParallel(mode string, n, samples int, seed int64, workers int, run func(share int, rng *rand.Rand) ([]float64, error)) ([]float64, error) {
 	start := time.Now()
-	units := samples / unit
-	workers = min(resolveWorkers(workers), units)
-	shares := shareSamples(units, workers)
+	workers = min(resolveWorkers(workers), samples)
+	shares := shareSamples(samples, workers)
 	seeds := WorkerSeeds(seed, workers)
 	ests := make([][]float64, workers)
 	errs := make([]error, workers)
 	busy, panicErr := runWorkers(workers, func(w int) {
-		ests[w], errs[w] = run(shares[w]*unit, rand.New(rand.NewSource(seeds[w])))
+		ests[w], errs[w] = run(shares[w], rand.New(rand.NewSource(seeds[w])))
 	})
 	if panicErr != nil {
 		return nil, panicErr
@@ -358,7 +322,7 @@ func sampledParallel(mode string, n, samples int, seed int64, workers, unit int,
 	}
 	phi := make([]float64, n)
 	for w, est := range ests {
-		weight := float64(shares[w]*unit) / float64(samples)
+		weight := float64(shares[w]) / float64(samples)
 		for i, v := range est {
 			phi[i] += v * weight
 		}

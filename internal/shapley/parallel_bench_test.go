@@ -30,7 +30,7 @@ func BenchmarkShapleyBuildTable(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/parallel-%d", n, runtime.GOMAXPROCS(0)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildTableParallel(n, game, 0); err != nil {
+				if _, err := buildTable(n, setGame(game), 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -46,14 +46,14 @@ func BenchmarkShapleyExactFromTable(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ExactFromTable(n, table); err != nil {
+				if _, err := ExactFromTable(n, table, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/parallel-%d", n, runtime.GOMAXPROCS(0)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ExactFromTableParallel(n, table, 0); err != nil {
+				if _, err := ExactFromTable(n, table, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,13 +94,6 @@ func BenchmarkMonteCarloAntitheticSampling(b *testing.B) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < b.N; i++ {
 			if _, err := MonteCarloAntithetic(n, game, samples, rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := MonteCarloAntitheticParallel(n, game, samples, int64(i), 0); err != nil {
 				b.Fatal(err)
 			}
 		}

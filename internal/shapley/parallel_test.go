@@ -1,9 +1,12 @@
 package shapley
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"fairco2/internal/checkpoint"
 )
 
 // The differential suite: every parallel estimator is checked against the
@@ -21,6 +24,23 @@ func randomPeaks(n int, rng *rand.Rand) []float64 {
 		peaks[i] = float64(rng.Intn(1000))
 	}
 	return peaks
+}
+
+// setGame adapts a plain characteristic function to the incremental Game
+// interface: the state is the coalition mask itself and value() evaluates v
+// on it from scratch, so every enumeration order yields v's exact values.
+func setGame(v SetFunc) Game {
+	return func() (func(int), func(int), func() float64) {
+		var mask uint64
+		return func(i int) { mask |= 1 << uint(i) },
+			func(i int) { mask &^= 1 << uint(i) },
+			func() float64 { return v(mask) }
+	}
+}
+
+// buildTable is BuildGameTable in memory with a background context.
+func buildTable(n int, g Game, workers int) ([]float64, error) {
+	return BuildGameTable(context.Background(), n, g, workers, checkpoint.Spec{})
 }
 
 func equalSlices(t *testing.T, got, want []float64, context string) {
@@ -52,7 +72,7 @@ func TestExactParallelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelTable, err := BuildTableParallel(n, game, workers)
+		parallelTable, err := buildTable(n, setGame(game), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +84,11 @@ func TestExactParallelDifferential(t *testing.T) {
 		for i := range floatTable {
 			floatTable[i] = rng.NormFloat64() * 100
 		}
-		serialPhi, err := ExactFromTable(n, floatTable)
+		serialPhi, err := ExactFromTable(n, floatTable, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelPhi, err := ExactFromTableParallel(n, floatTable, workers)
+		parallelPhi, err := ExactFromTable(n, floatTable, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +98,7 @@ func TestExactParallelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallelExact, err := ExactParallel(n, game, workers)
+		parallelExact, err := exactParallel(n, game, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +147,11 @@ func TestBuildTableIncrementalParallelDifferential(t *testing.T) {
 			}
 			return add, remove, value
 		}
-		add, remove, value := makeGame()
-		serial, err := BuildTableIncremental(n, add, remove, value)
+		serial, err := buildTable(n, makeGame, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := BuildTableIncrementalParallel(n, makeGame, workers)
+		parallel, err := buildTable(n, makeGame, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,24 +159,33 @@ func TestBuildTableIncrementalParallelDifferential(t *testing.T) {
 	}
 }
 
+// exactParallel is the parallel exact pipeline: the blocked table build
+// over v followed by the player-partitioned reduction.
+func exactParallel(n int, v SetFunc, workers int) ([]float64, error) {
+	table, err := buildTable(n, setGame(v), workers)
+	if err != nil {
+		return nil, err
+	}
+	return ExactFromTable(n, table, workers)
+}
+
 // emulateSharded reproduces the parallel sampling scheme with the serial
 // estimators: per-worker seeds from WorkerSeeds, contiguous shares, and the
 // weighted in-order reduction. Bitwise agreement with the parallel
 // estimator proves the engine is exactly "the serial core, sharded".
-func emulateSharded(n, samples, workers, unit int, seed int64, run func(share int, rng *rand.Rand) ([]float64, error)) ([]float64, error) {
-	units := samples / unit
-	if workers > units {
-		workers = units
+func emulateSharded(n, samples, workers int, seed int64, run func(share int, rng *rand.Rand) ([]float64, error)) ([]float64, error) {
+	if workers > samples {
+		workers = samples
 	}
-	shares := shareSamples(units, workers)
+	shares := shareSamples(samples, workers)
 	seeds := WorkerSeeds(seed, workers)
 	phi := make([]float64, n)
 	for w := 0; w < workers; w++ {
-		est, err := run(shares[w]*unit, rand.New(rand.NewSource(seeds[w])))
+		est, err := run(shares[w], rand.New(rand.NewSource(seeds[w])))
 		if err != nil {
 			return nil, err
 		}
-		weight := float64(shares[w]*unit) / float64(samples)
+		weight := float64(shares[w]) / float64(samples)
 		for i, v := range est {
 			phi[i] += v * weight
 		}
@@ -178,7 +206,7 @@ func TestMonteCarloParallelMatchesSerialShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := emulateSharded(n, samples, workers, 1, int64(seed),
+		want, err := emulateSharded(n, samples, workers, int64(seed),
 			func(share int, rng *rand.Rand) ([]float64, error) {
 				return MonteCarlo(n, game, share, rng)
 			})
@@ -186,30 +214,6 @@ func TestMonteCarloParallelMatchesSerialShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalSlices(t, got, want, "MonteCarloParallel")
-	}
-}
-
-func TestMonteCarloAntitheticParallelMatchesSerialShards(t *testing.T) {
-	for seed := 0; seed < 60; seed++ {
-		rng := rand.New(rand.NewSource(int64(3000 + seed)))
-		n := 2 + seed%11
-		workers := 1 + seed%6
-		samples := 2 * (workers + rng.Intn(20)) // positive and even
-		peaks := randomPeaks(n, rng)
-		game := peakOf(peaks)
-
-		got, err := MonteCarloAntitheticParallel(n, game, samples, int64(seed), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := emulateSharded(n, samples, workers, 2, int64(seed),
-			func(share int, rng *rand.Rand) ([]float64, error) {
-				return MonteCarloAntithetic(n, game, share, rng)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalSlices(t, got, want, "MonteCarloAntitheticParallel")
 	}
 }
 
@@ -241,7 +245,7 @@ func TestSampledOrderedParallelMatchesSerialShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := emulateSharded(n, samples, workers, 1, int64(seed),
+		want, err := emulateSharded(n, samples, workers, int64(seed),
 			func(share int, rng *rand.Rand) ([]float64, error) {
 				return SampledOrdered(n, newMarginals(), share, rng)
 			})
@@ -283,13 +287,8 @@ func TestMonteCarloParallelConvergesToExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anti, err := MonteCarloAntitheticParallel(n, peakOf(peaks), 20000, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range exact {
 		approx(t, plain[i], exact[i], 0.1, "parallel MC estimate")
-		approx(t, anti[i], exact[i], 0.1, "parallel antithetic estimate")
 	}
 }
 
@@ -303,7 +302,7 @@ func TestParallelWorkerResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 0, 1, 64} {
-		got, err := ExactParallel(4, game, workers)
+		got, err := exactParallel(4, game, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -314,7 +313,7 @@ func TestParallelWorkerResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := emulateSharded(4, 3, 16, 1, 5, func(share int, rng *rand.Rand) ([]float64, error) {
+	want, err := emulateSharded(4, 3, 16, 5, func(share int, rng *rand.Rand) ([]float64, error) {
 		return MonteCarlo(4, game, share, rng)
 	})
 	if err != nil {

@@ -31,11 +31,12 @@ func Exact(n int, v SetFunc) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ExactFromTable(n, table)
+	return ExactFromTable(n, table, 1)
 }
 
 // BuildTable evaluates v over all 2^n coalitions into a dense table indexed
-// by bitmask.
+// by bitmask, one plain call per mask in ascending order. It is the
+// reference oracle the blocked builder (BuildGameTable) is tested against.
 func BuildTable(n int, v SetFunc) ([]float64, error) {
 	if err := checkExactN(n); err != nil {
 		return nil, err
@@ -49,94 +50,6 @@ func BuildTable(n int, v SetFunc) ([]float64, error) {
 	}
 	metricExactCoalitions.Add(float64(len(table)))
 	return table, nil
-}
-
-// BuildTableIncremental evaluates a characteristic function over all 2^n
-// coalitions while letting the caller maintain incremental state: add(i) is
-// called when player i joins the working coalition, remove(i) when it
-// leaves, and value() must return the value of the current coalition.
-// Each coalition is visited exactly once (depth-first over players), so a
-// caller whose value is expensive to compute from scratch — e.g. the peak
-// of a summed demand curve — pays only O(update) per coalition.
-func BuildTableIncremental(n int, add, remove func(player int), value func() float64) ([]float64, error) {
-	if err := checkExactN(n); err != nil {
-		return nil, err
-	}
-	if add == nil || remove == nil || value == nil {
-		return nil, ErrNilGame
-	}
-	table := make([]float64, 1<<uint(n))
-	var rec func(next int, mask uint64)
-	rec = func(next int, mask uint64) {
-		if next == n {
-			table[mask] = value()
-			return
-		}
-		rec(next+1, mask)
-		add(next)
-		rec(next+1, mask|1<<uint(next))
-		remove(next)
-	}
-	rec(0, 0)
-	metricExactCoalitions.Add(float64(len(table)))
-	return table, nil
-}
-
-// ExactFromTable computes exact Shapley values from a dense table of
-// coalition values indexed by bitmask (len(table) must be 2^n).
-//
-//	phi_i = sum over S not containing i of
-//	        |S|! (n-|S|-1)! / n!  *  (v(S u {i}) - v(S))
-func ExactFromTable(n int, table []float64) ([]float64, error) {
-	if err := checkExactN(n); err != nil {
-		return nil, err
-	}
-	phi := make([]float64, n)
-	w := make([]float64, n)
-	if err := ExactFromTableInto(n, table, phi, w); err != nil {
-		return nil, err
-	}
-	return phi, nil
-}
-
-// ExactFromTableInto is ExactFromTable writing into caller-provided scratch:
-// phi (length n) receives the Shapley values, w (length n) holds the
-// coalition-size weights. It performs no heap allocation, accumulates in
-// exactly ExactFromTable's order (so results are bit-for-bit identical),
-// and exists for hot re-attribution loops that price a delta-updated table
-// on every request.
-func ExactFromTableInto(n int, table, phi, w []float64) error {
-	if err := checkExactN(n); err != nil {
-		return err
-	}
-	if len(table) != 1<<uint(n) {
-		return fmt.Errorf("shapley: table has %d entries, want 2^%d: %w", len(table), n, ErrTableSize)
-	}
-	if len(phi) != n || len(w) != n {
-		return fmt.Errorf("shapley: phi/weight scratch of %d/%d entries, want %d: %w", len(phi), len(w), n, ErrScratchSize)
-	}
-	// w[s] = s!(n-s-1)!/n! = 1 / (n * C(n-1, s)).
-	for s := 0; s < n; s++ {
-		w[s] = 1 / (float64(n) * binomial(n-1, s))
-	}
-	for i := range phi {
-		phi[i] = 0
-	}
-	for mask := uint64(0); mask < uint64(len(table)); mask++ {
-		rest := ^mask & (1<<uint(n) - 1)
-		if rest == 0 {
-			continue // full coalition: no player left to add
-		}
-		vs := table[mask]
-		weight := w[bits.OnesCount64(mask)]
-		for rest != 0 {
-			bit := rest & -rest
-			i := bits.TrailingZeros64(bit)
-			phi[i] += weight * (table[mask|bit] - vs)
-			rest ^= bit
-		}
-	}
-	return nil
 }
 
 // MonteCarlo estimates Shapley values by sampling random permutations and

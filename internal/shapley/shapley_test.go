@@ -81,7 +81,7 @@ func TestExactEfficiencyAxiom(t *testing.T) {
 		for i := 1; i < len(table); i++ {
 			table[i] = rng.Float64() * 100
 		}
-		phi, err := ExactFromTable(n, table)
+		phi, err := ExactFromTable(n, table, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,9 +131,9 @@ func TestExactLinearityAxiom(t *testing.T) {
 		tb[i] = rng.Float64()
 		tc[i] = 2*ta[i] + 3*tb[i]
 	}
-	pa, _ := ExactFromTable(n, ta)
-	pb, _ := ExactFromTable(n, tb)
-	pc, err := ExactFromTable(n, tc)
+	pa, _ := ExactFromTable(n, ta, 1)
+	pb, _ := ExactFromTable(n, tb, 1)
+	pc, err := ExactFromTable(n, tc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestExactErrors(t *testing.T) {
 	if _, err := Exact(MaxExactPlayers+1, func(uint64) float64 { return 0 }); err == nil {
 		t.Error("expected error above MaxExactPlayers")
 	}
-	if _, err := ExactFromTable(3, make([]float64, 7)); err == nil {
+	if _, err := ExactFromTable(3, make([]float64, 7), 1); err == nil {
 		t.Error("expected error for wrong table size")
 	}
 }
@@ -162,19 +162,20 @@ func TestBuildTableIncrementalMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Incremental state: multiset of member peaks via counting.
-	counts := map[float64]int{}
-	inc, err := BuildTableIncremental(n,
-		func(i int) { counts[peaks[i]]++ },
-		func(i int) { counts[peaks[i]]-- },
-		func() float64 {
-			m := 0.0
-			for p, c := range counts {
-				if c > 0 && p > m {
-					m = p
+	inc, err := buildTable(n, func() (func(int), func(int), func() float64) {
+		counts := map[float64]int{}
+		return func(i int) { counts[peaks[i]]++ },
+			func(i int) { counts[peaks[i]]-- },
+			func() float64 {
+				m := 0.0
+				for p, c := range counts {
+					if c > 0 && p > m {
+						m = p
+					}
 				}
+				return m
 			}
-			return m
-		})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestBuildTableIncrementalMatchesDirect(t *testing.T) {
 }
 
 func TestBuildTableIncrementalErrors(t *testing.T) {
-	if _, err := BuildTableIncremental(0, nil, nil, nil); err == nil {
+	if _, err := buildTable(0, nil, 1); err == nil {
 		t.Error("expected error for n=0")
 	}
 }

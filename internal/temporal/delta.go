@@ -2,11 +2,9 @@ package temporal
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"fairco2/internal/checkpoint"
-	"fairco2/internal/shapley"
 	"fairco2/internal/timeseries"
 	"fairco2/internal/units"
 )
@@ -62,7 +60,7 @@ type SignalDelta struct {
 	intensity *timeseries.Series // owned, live result
 	budget    float64
 	cfg       Config
-	arena     *attrArena
+	attr      attributor // serial walk over demand, with its arena
 
 	m     int // top-level period count
 	width int // samples per top-level period
@@ -95,7 +93,6 @@ func IntensitySignalDelta(demand *timeseries.Series, budget units.GramsCO2e, cfg
 		intensity: timeseries.Zeros(demand.Start, demand.Step, demand.Len()),
 		budget:    float64(budget),
 		cfg:       cfg,
-		arena:     newAttrArena(cfg.SplitRatios),
 		m:         m,
 		width:     width,
 		crcs:      make([]uint32, m),
@@ -107,8 +104,8 @@ func IntensitySignalDelta(demand *timeseries.Series, budget units.GramsCO2e, cfg
 	}
 	// The build runs the identical serial recursion IntensitySignal would,
 	// so the wrapped signal starts bitwise-equal to a fresh one.
-	a := attributor{demand: d.demand, backend: cfg.Backend, workers: 1, arena: d.arena}
-	if err := a.attribute(0, d.demand.Len(), d.budget, cfg.SplitRatios, d.intensity.Values); err != nil {
+	d.attr = attributor{demand: d.demand, backend: cfg.Backend, workers: 1, arena: newAttrArena(cfg.SplitRatios)}
+	if err := d.attr.attribute(0, d.demand.Len(), d.budget, cfg.SplitRatios, d.intensity.Values); err != nil {
 		return nil, err
 	}
 	if err := d.topShares(d.demand.Values, d.shares); err != nil {
@@ -136,51 +133,15 @@ func (d *SignalDelta) Periods() int { return d.m }
 func (d *SignalDelta) PeriodFingerprints() []uint32 { return d.crcs }
 
 // topShares evaluates the top-level attribution over the given demand
-// values into shares: exactly the arithmetic the recursion's first level
-// performs, in the same order, so a share that comes out bitwise-equal
-// proves the period's sub-attribution input did not move.
+// values into shares with the recursion's own first-level kernel, so a
+// share that comes out bitwise-equal proves the period's sub-attribution
+// input did not move.
 func (d *SignalDelta) topShares(values []float64, shares []float64) error {
 	if len(d.cfg.SplitRatios) == 0 {
 		shares[0] = d.budget
 		return nil
 	}
-	peaks, qs := d.arena.peaks[0], d.arena.qs[0]
-	step := float64(d.demand.Step)
-	for k := 0; k < d.m; k++ {
-		clo := k * d.width
-		peak, q := 0.0, 0.0
-		for i := clo; i < clo+d.width; i++ {
-			v := values[i]
-			if v > peak {
-				peak = v
-			}
-			q += v
-		}
-		peaks[k] = peak
-		qs[k] = q * step
-	}
-	var phi []float64
-	var err error
-	if d.cfg.Backend == NaiveSubset {
-		phi, err = shapley.PeakGameNaive(peaks)
-	} else {
-		phi = d.arena.phi[0]
-		err = shapley.PeakGameInto(peaks, phi, d.arena.idx[0])
-	}
-	if err != nil {
-		return fmt.Errorf("temporal: level with %d periods: %w", d.m, err)
-	}
-	denom := 0.0
-	for k := range phi {
-		denom += phi[k] * qs[k]
-	}
-	if denom == 0 {
-		return fmt.Errorf("temporal: internal error, zero attribution denominator over %d periods", d.m)
-	}
-	for k := 0; k < d.m; k++ {
-		shares[k] = phi[k] * qs[k] / denom * d.budget
-	}
-	return nil
+	return d.attr.level(values, d.cfg.SplitRatios, 0, d.width, d.budget, shares)
 }
 
 // Update transitions the signal to the new demand series, re-attributing
@@ -226,7 +187,6 @@ func (d *SignalDelta) Update(newDemand *timeseries.Series) (DeltaStats, error) {
 	}
 
 	var stats DeltaStats
-	a := attributor{demand: d.demand, backend: d.cfg.Backend, workers: 1, arena: d.arena}
 	var splits []int
 	if len(d.cfg.SplitRatios) > 0 {
 		splits = d.cfg.SplitRatios[1:]
@@ -245,7 +205,7 @@ func (d *SignalDelta) Update(newDemand *timeseries.Series) (DeltaStats, error) {
 		for i := lo; i < hi; i++ {
 			iv[i] = 0
 		}
-		if err := a.attribute(lo, hi, d.newShares[k], splits, iv); err != nil {
+		if err := d.attr.attribute(lo, hi, d.newShares[k], splits, iv); err != nil {
 			return stats, err
 		}
 		d.crcs[k] = d.newCRCs[k]

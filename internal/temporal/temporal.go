@@ -81,7 +81,7 @@ func IntensitySignal(demand *timeseries.Series, budget units.GramsCO2e, cfg Conf
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	a := attributor{demand: demand, backend: cfg.Backend, workers: workers}
+	a := attributor{demand: demand, backend: cfg.Backend, workers: workers, arena: newAttrArena(cfg.SplitRatios)}
 	intensity := make([]float64, demand.Len())
 	if err := a.attribute(0, demand.Len(), float64(budget), cfg.SplitRatios, intensity); err != nil {
 		return nil, err
@@ -124,42 +124,47 @@ func validateSignal(demand *timeseries.Series, budget units.GramsCO2e, cfg Confi
 type attributor struct {
 	demand  *timeseries.Series
 	backend Backend
-	workers int        // top-level chunk concurrency; recursion below runs serial
-	arena   *attrArena // optional preallocated per-level scratch; requires workers == 1
+	workers int       // top-level chunk concurrency; recursion below runs serial
+	arena   attrArena // per-level scratch, owned by this attributor's walk
 }
 
 // attrArena preallocates the per-level scratch the attribution recursion
-// needs (chunk peaks, resource-times, Shapley values and the solver's sort
-// scratch), one set per split level, so a serial attributor can re-attribute
-// ranges without heap allocation — the delta engine's hot path. The arena is
-// single-walker state: it must not be shared across concurrent recursions.
+// needs (chunk peaks, resource-times, Shapley values, shares and the
+// solver's sort scratch), so a walk re-attributes ranges without heap
+// allocation. Levels are laid out deepest first: the level whose remaining
+// split schedule is splits starts at the summed size of splits[1:], so an
+// arena sized for a schedule also serves every suffix of it (fan-out
+// workers, delta updates). The arena is single-walker state: every
+// concurrent walk gets its own.
 type attrArena struct {
-	peaks [][]float64
-	qs    [][]float64
-	phi   [][]float64
-	idx   [][]int
+	fs []float64 // per level: peaks, qs, phi and shares, m each
+	is []int     // per level: sort scratch, m
 }
 
-func newAttrArena(splits []int) *attrArena {
-	a := &attrArena{
-		peaks: make([][]float64, len(splits)),
-		qs:    make([][]float64, len(splits)),
-		phi:   make([][]float64, len(splits)),
-		idx:   make([][]int, len(splits)),
+func newAttrArena(splits []int) attrArena {
+	total := 0
+	for _, m := range splits {
+		total += m
 	}
-	for d, m := range splits {
-		a.peaks[d] = make([]float64, m)
-		a.qs[d] = make([]float64, m)
-		a.phi[d] = make([]float64, m)
-		a.idx[d] = make([]int, m)
-	}
-	return a
+	return attrArena{fs: make([]float64, 4*total), is: make([]int, total)}
 }
 
-// attribute divides budget over samples [lo, hi) of the demand series. At
-// each level the range is cut into splits[0] equal chunks; chunk k's share
-// is phi_k q_k / sum_j phi_j q_j where phi is the peak-game Shapley value
-// over chunk peaks and q_k the chunk's resource-time (Eq. 5).
+// scratch returns the slices of the level whose remaining split schedule
+// is splits.
+func (ar attrArena) scratch(splits []int) (peaks, qs, phi, shares []float64, idx []int) {
+	off := 0
+	for _, m := range splits[1:] {
+		off += m
+	}
+	m := splits[0]
+	f := ar.fs[4*off : 4*(off+m)]
+	return f[:m], f[m : 2*m], f[2*m : 3*m], f[3*m:], ar.is[off : off+m]
+}
+
+// attribute divides budget over samples [lo, hi) of the demand series: level
+// cuts the range into splits[0] equal chunks and shares the budget out over
+// them, and each chunk's share is divided the same way over the remaining
+// splits.
 func (a *attributor) attribute(lo, hi int, budget float64, splits []int, intensity []float64) error {
 	if budget == 0 {
 		return nil // zero-demand range received a zero share; intensity stays 0
@@ -179,89 +184,94 @@ func (a *attributor) attribute(lo, hi int, budget float64, splits []int, intensi
 
 	m := splits[0]
 	width := (hi - lo) / m
-	var peaks, qs []float64
-	if a.arena != nil {
-		// Depth of this level in the schedule the arena was sized for:
-		// splits shrinks by one per level, so the difference indexes it
-		// even when the recursion entered below the top (delta applies).
-		d := len(a.arena.peaks) - len(splits)
-		peaks, qs = a.arena.peaks[d], a.arena.qs[d]
-	} else {
-		peaks = make([]float64, m)
-		qs = make([]float64, m)
-	}
-	for k := 0; k < m; k++ {
-		clo := lo + k*width
-		peak, q := 0.0, 0.0
-		for i := clo; i < clo+width; i++ {
-			v := a.demand.Values[i]
-			if v > peak {
-				peak = v
-			}
-			q += v
-		}
-		peaks[k] = peak
-		qs[k] = q * float64(a.demand.Step)
-	}
-
-	var phi []float64
-	var err error
-	switch {
-	case a.backend == NaiveSubset:
-		phi, err = shapley.PeakGameNaive(peaks)
-	case a.arena != nil:
-		// PeakGameInto is bitwise-identical to PeakGame (tied peaks
-		// contribute zero-height increments, so sort-order differences on
-		// ties cannot move a bit), so the arena path preserves the
-		// attribution exactly.
-		d := len(a.arena.peaks) - len(splits)
-		phi = a.arena.phi[d]
-		err = shapley.PeakGameInto(peaks, phi, a.arena.idx[d])
-	default:
-		phi, err = shapley.PeakGame(peaks)
-	}
-	if err != nil {
-		return fmt.Errorf("temporal: level with %d periods: %w", m, err)
-	}
-
-	denom := 0.0
-	for k := range phi {
-		denom += phi[k] * qs[k]
-	}
-	if denom == 0 {
-		return fmt.Errorf("temporal: internal error, positive budget %v over zero-demand range [%d, %d)", budget, lo, hi)
+	_, _, _, shares, _ := a.arena.scratch(splits)
+	if err := a.level(a.demand.Values, splits, lo, width, budget, shares); err != nil {
+		return err
 	}
 	if workers := min(a.workers, m); workers > 1 {
-		return a.fanOut(lo, width, budget, denom, phi, qs, workers, splits, intensity)
+		return a.fanOut(lo, width, shares, workers, splits, intensity)
 	}
 	for k := 0; k < m; k++ {
-		share := phi[k] * qs[k] / denom * budget
-		if err := a.attribute(lo+k*width, lo+(k+1)*width, share, splits[1:], intensity); err != nil {
+		if err := a.attribute(lo+k*width, lo+(k+1)*width, shares[k], splits[1:], intensity); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fanOut recurses into the level's chunks concurrently. Chunks are
-// independent and write disjoint intensity ranges, so this never changes a
-// single arithmetic operation, only their interleaving. Only the first
-// level fans out: the sub-attributor is serial, keeping goroutine count
-// bounded by the Parallelism knob rather than the tree's fan-out. It lives
-// in its own function so the goroutine closure's captures don't force the
-// serial recursion's locals onto the heap.
-func (a *attributor) fanOut(lo, width int, budget, denom float64, phi, qs []float64, workers int, splits []int, intensity []float64) error {
+// level is one level of Eq. 5: it cuts values[lo:lo+m*width) into the
+// m = splits[0] chunks and writes chunk k's share of budget into shares[k],
+//
+//	share_k = phi_k q_k / sum_j phi_j q_j * budget,
+//
+// where phi is the peak-game Shapley value over the chunk peaks and q_k the
+// chunk's resource-time. The recursion and the delta engine's top-level
+// check both run it, so the shares always sum to the budget the same way.
+func (a *attributor) level(values []float64, splits []int, lo, width int, budget float64, shares []float64) error {
+	peaks, qs, phi, _, idx := a.arena.scratch(splits)
 	m := splits[0]
-	sub := attributor{demand: a.demand, backend: a.backend, workers: 1}
+	step := float64(a.demand.Step)
+	for k := 0; k < m; k++ {
+		clo := lo + k*width
+		peak, q := 0.0, 0.0
+		for i := clo; i < clo+width; i++ {
+			v := values[i]
+			if v > peak {
+				peak = v
+			}
+			q += v
+		}
+		peaks[k] = peak
+		qs[k] = q * step
+	}
+	var err error
+	if a.backend == NaiveSubset {
+		var naive []float64
+		if naive, err = shapley.PeakGameNaive(peaks); err == nil {
+			copy(phi, naive)
+		}
+	} else {
+		// Bitwise-identical to PeakGame: tied peaks contribute
+		// zero-height increments, so sort-order differences on ties
+		// cannot move a bit.
+		err = shapley.PeakGameInto(peaks, phi, idx)
+	}
+	if err != nil {
+		return fmt.Errorf("temporal: level with %d periods: %w", m, err)
+	}
+	denom := 0.0
+	for k, p := range phi {
+		denom += p * qs[k]
+	}
+	if denom == 0 {
+		return fmt.Errorf("temporal: internal error, positive budget %v over zero-demand range [%d, %d)", budget, lo, lo+m*width)
+	}
+	for k, p := range phi {
+		shares[k] = p * qs[k] / denom * budget
+	}
+	return nil
+}
+
+// fanOut recurses into the level's chunks concurrently, each worker with
+// its own serial attributor and arena. Chunks are independent and write
+// disjoint intensity ranges, so this never changes a single arithmetic
+// operation, only their interleaving. Only the first level fans out,
+// keeping goroutine count bounded by the Parallelism knob rather than the
+// tree's fan-out.
+func (a *attributor) fanOut(lo, width int, shares []float64, workers int, splits []int, intensity []float64) error {
+	m := splits[0]
 	errs := make([]error, m)
+	// Built outside the goroutines, so their closure does not capture a.
+	proto := attributor{demand: a.demand, backend: a.backend, workers: 1}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sub := proto
+			sub.arena = newAttrArena(splits[1:])
 			for k := m * w / workers; k < m*(w+1)/workers; k++ {
-				share := phi[k] * qs[k] / denom * budget
-				errs[k] = sub.attribute(lo+k*width, lo+(k+1)*width, share, splits[1:], intensity)
+				errs[k] = sub.attribute(lo+k*width, lo+(k+1)*width, shares[k], splits[1:], intensity)
 			}
 		}(w)
 	}

@@ -58,7 +58,7 @@ awk '
   $1 ~ /^BenchmarkTemporalDelta\/delta-reshape(-[0-9]+)?$/    { td = $3 }
   $1 ~ /^BenchmarkTemporalDelta\/fresh-rebuild(-[0-9]+)?$/    { tf = $3 }
   END {
-    printf "shapley delta apply (1-player change, n=16): %.0f ns vs scratch BuildTableParallel %.0f ns -> %.1fx\n", shd, shs, shs/shd
+    printf "shapley delta apply (1-player change, n=16): %.0f ns vs scratch per-mask BuildGameTable %.0f ns -> %.1fx\n", shd, shs, shs/shd
     printf "shapley delta apply vs scratch incremental build %.0f ns -> %.1fx\n", shi, shi/shd
     printf "temporal delta reshape (1 of 10 periods): %.0f ns vs fresh IntensitySignal %.0f ns -> %.1fx\n", td, tf, tf/td
   }
