@@ -1,8 +1,8 @@
 // Command attribution-server is Fair-CO2's query daemon: a long-lived
 // HTTP service that answers per-tenant attribution, share and billing
 // queries over one configured schedule. Expensive Shapley computations
-// are amortized behind a sharded result cache and request coalescing (N
-// concurrent identical queries cost one computation), so the service
+// are amortized behind one result table of cached and in-flight answers
+// (N concurrent identical queries cost one computation), so the service
 // survives dashboard fan-out and scrape storms.
 //
 //	GET /v1/attribution?method=fair-co2&period=0:6&tenant=3

@@ -1,6 +1,7 @@
 package attrserver
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,29 +32,44 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func newTestCache(totalBytes int64, shards int, clock *fakeClock) (*resultCache, *Instruments) {
+func newTestCache(budget int64, clock *fakeClock) (*resultCache, *Instruments) {
 	inst := NewInstruments(metrics.NewRegistry())
-	return newResultCache(totalBytes, shards, clock.Now, inst), inst
+	return newResultCache(budget, clock.Now, inst), inst
+}
+
+var errAbandoned = errors.New("lookup abandoned")
+
+// lookup acquires key the way a query does, counting a hit or a miss, and
+// abandons the flight a miss registers, so the table is left as it was.
+func lookup(c *resultCache, key string) (any, bool) {
+	v, fl, lead := c.acquire(key)
+	if fl == nil {
+		return v, true
+	}
+	if lead {
+		c.fill(key, fl, nil, 0, 0, errAbandoned)
+	}
+	return nil, false
 }
 
 func TestCacheHitMissAndTTLExpiry(t *testing.T) {
 	clock := newFakeClock()
-	c, inst := newTestCache(1<<20, 4, clock)
+	c, inst := newTestCache(1<<20, clock)
 
-	if _, ok := c.get("k"); ok {
+	if _, ok := lookup(c, "k"); ok {
 		t.Fatal("empty cache returned a value")
 	}
 	c.put("k", "v", 100, time.Minute)
-	v, ok := c.get("k")
+	v, ok := lookup(c, "k")
 	if !ok || v.(string) != "v" {
 		t.Fatalf("get after put = (%v, %v), want (v, true)", v, ok)
 	}
 	clock.Advance(59 * time.Second)
-	if _, ok := c.get("k"); !ok {
+	if _, ok := lookup(c, "k"); !ok {
 		t.Fatal("entry expired before its TTL")
 	}
 	clock.Advance(2 * time.Second)
-	if _, ok := c.get("k"); ok {
+	if _, ok := lookup(c, "k"); ok {
 		t.Fatal("entry survived past its TTL")
 	}
 	if got := inst.CacheHits.Value(); got != 2 {
@@ -73,23 +89,23 @@ func TestCacheHitMissAndTTLExpiry(t *testing.T) {
 
 func TestCacheLRUEvictionUnderByteBudget(t *testing.T) {
 	clock := newFakeClock()
-	// One shard with a 300-byte budget: three 100-byte entries fit, the
-	// fourth evicts the least recently used.
-	c, inst := newTestCache(300, 1, clock)
+	// A 300-byte budget: three 100-byte entries fit, the fourth evicts the
+	// least recently used.
+	c, inst := newTestCache(300, clock)
 	for _, k := range []string{"a", "b", "c"} {
 		c.put(k, k, 100, time.Hour)
 	}
 	// Touch "a" so "b" becomes the LRU victim.
-	if _, ok := c.get("a"); !ok {
+	if _, ok := lookup(c, "a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	c.put("d", "d", 100, time.Hour)
 
-	if _, ok := c.get("b"); ok {
+	if _, ok := lookup(c, "b"); ok {
 		t.Error("LRU victim b survived")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := lookup(c, k); !ok {
 			t.Errorf("%s evicted, want kept", k)
 		}
 	}
@@ -103,11 +119,11 @@ func TestCacheLRUEvictionUnderByteBudget(t *testing.T) {
 
 func TestCacheReplaceAndOversizedAndZeroTTL(t *testing.T) {
 	clock := newFakeClock()
-	c, _ := newTestCache(300, 1, clock)
+	c, _ := newTestCache(300, clock)
 
 	c.put("k", "old", 100, time.Hour)
 	c.put("k", "new", 200, time.Hour)
-	v, ok := c.get("k")
+	v, ok := lookup(c, "k")
 	if !ok || v.(string) != "new" {
 		t.Fatalf("replaced entry = (%v, %v), want (new, true)", v, ok)
 	}
@@ -115,48 +131,25 @@ func TestCacheReplaceAndOversizedAndZeroTTL(t *testing.T) {
 		t.Errorf("stats after replace = (%d, %d), want (1, 200)", entries, bytes)
 	}
 
-	// An entry larger than a whole shard is not cached (and evicts nothing).
+	// An entry larger than the whole budget is not cached (and evicts nothing).
 	c.put("huge", "x", 301, time.Hour)
-	if _, ok := c.get("huge"); ok {
+	if _, ok := lookup(c, "huge"); ok {
 		t.Error("oversized entry was cached")
 	}
-	if _, ok := c.get("k"); !ok {
+	if _, ok := lookup(c, "k"); !ok {
 		t.Error("oversized put evicted an unrelated entry")
 	}
 
 	// Non-positive TTLs mean "do not cache".
 	c.put("transient", "x", 10, 0)
-	if _, ok := c.get("transient"); ok {
+	if _, ok := lookup(c, "transient"); ok {
 		t.Error("zero-TTL entry was cached")
-	}
-}
-
-func TestCacheShardRoundingAndSpread(t *testing.T) {
-	clock := newFakeClock()
-	c, _ := newTestCache(1<<20, 5, clock) // rounds up to 8 shards
-	if len(c.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(c.shards))
-	}
-	// Many keys must not all land in one shard.
-	for i := 0; i < 256; i++ {
-		c.put(fmt.Sprintf("key-%d", i), i, 64, time.Hour)
-	}
-	used := 0
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		if len(sh.items) > 0 {
-			used++
-		}
-		sh.mu.RUnlock()
-	}
-	if used < 2 {
-		t.Errorf("256 keys landed in %d shard(s); FNV routing is broken", used)
 	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
 	clock := newFakeClock()
-	c, _ := newTestCache(4<<10, 4, clock)
+	c, _ := newTestCache(4<<10, clock)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -167,7 +160,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				if i%3 == 0 {
 					c.put(key, i, 64, time.Hour)
 				} else {
-					c.get(key)
+					lookup(c, key)
 				}
 			}
 		}(g)

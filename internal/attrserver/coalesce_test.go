@@ -11,11 +11,29 @@ import (
 	"fairco2/internal/attribution"
 )
 
+// do runs fn through the cache the way Server.resolve runs a computation:
+// a hit returns at once, a miss attaches to the key's flight or leads a
+// new one whose result fills the entry with the given TTL.
+func do(ctx context.Context, c *resultCache, key string, ttl time.Duration, fn func() (any, error)) (any, error) {
+	v, fl, lead := c.acquire(key)
+	if fl == nil {
+		return v, nil
+	}
+	if lead {
+		go func() {
+			v, err := fn()
+			c.fill(key, fl, v, 1, ttl, err)
+		}()
+	}
+	return fl.wait(ctx)
+}
+
 func TestFlightGroupSharesOneExecution(t *testing.T) {
-	var dups, calls atomic.Int64
-	g := newFlightGroup(func() { dups.Add(1) })
+	c, inst := newTestCache(1<<20, newFakeClock())
+	dups := inst.Coalesced
 
 	const n = 16
+	var calls atomic.Int64
 	release := make(chan struct{})
 	fn := func() (any, error) {
 		calls.Add(1)
@@ -30,15 +48,15 @@ func TestFlightGroupSharesOneExecution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = g.Do(context.Background(), "k", fn)
+			results[i], errs[i] = do(context.Background(), c, "k", time.Minute, fn)
 		}(i)
 	}
-	// Every non-leader registers as a dup before blocking, so this poll
+	// Every non-leader counts as coalesced before blocking, so this poll
 	// converges exactly when all n callers have attached.
 	deadline := time.Now().Add(5 * time.Second)
-	for dups.Load() != n-1 {
+	for dups.Value() != n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("dups = %d after 5s, want %d", dups.Load(), n-1)
+			t.Fatalf("dups = %v after 5s, want %d", dups.Value(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -56,13 +74,13 @@ func TestFlightGroupSharesOneExecution(t *testing.T) {
 }
 
 func TestFlightGroupKeysAreIndependent(t *testing.T) {
+	c, _ := newTestCache(1<<20, newFakeClock())
 	var calls atomic.Int64
-	g := newFlightGroup(nil)
 	fn := func() (any, error) { return calls.Add(1), nil }
-	if _, err := g.Do(context.Background(), "a", fn); err != nil {
+	if _, err := do(context.Background(), c, "a", time.Minute, fn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Do(context.Background(), "b", fn); err != nil {
+	if _, err := do(context.Background(), c, "b", time.Minute, fn); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -70,64 +88,54 @@ func TestFlightGroupKeysAreIndependent(t *testing.T) {
 	}
 }
 
+// A result with a zero TTL is not cacheable: the flight answers its
+// callers and leaves nothing behind, so the next caller recomputes.
 func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
+	c, _ := newTestCache(1<<20, newFakeClock())
 	var calls atomic.Int64
-	g := newFlightGroup(nil)
 	fn := func() (any, error) { return calls.Add(1), nil }
-	v1, _ := g.Do(context.Background(), "k", fn)
-	v2, _ := g.Do(context.Background(), "k", fn)
+	v1, _ := do(context.Background(), c, "k", 0, fn)
+	v2, _ := do(context.Background(), c, "k", 0, fn)
 	if v1.(int64) != 1 || v2.(int64) != 2 {
 		t.Errorf("sequential calls got %v, %v; want 1, 2 (no stale sharing)", v1, v2)
 	}
 }
 
+// An error reaches the caller and is never cached: the next caller
+// computes afresh.
 func TestFlightGroupPropagatesErrors(t *testing.T) {
-	g := newFlightGroup(nil)
+	c, _ := newTestCache(1<<20, newFakeClock())
 	boom := errors.New("boom")
-	if _, err := g.Do(context.Background(), "k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := do(context.Background(), c, "k", time.Minute, func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
+	}
+	v, err := do(context.Background(), c, "k", time.Minute, func() (any, error) { return "ok", nil })
+	if err != nil || v.(string) != "ok" {
+		t.Errorf("caller after the failure got (%v, %v), want (ok, nil)", v, err)
 	}
 }
 
 func TestFlightGroupWaiterHonorsContext(t *testing.T) {
-	var dups atomic.Int64
-	g := newFlightGroup(func() { dups.Add(1) })
-	release := make(chan struct{})
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		_, _ = g.Do(context.Background(), "k", func() (any, error) {
-			<-release
-			return "late", nil
-		})
-	}()
-	<-started
-	// Wait for the leader's flight to be registered.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		_, inflight := g.calls["k"]
-		g.mu.Unlock()
-		if inflight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader flight never registered")
-		}
-		time.Sleep(time.Millisecond)
+	c, _ := newTestCache(1<<20, newFakeClock())
+	// Lead the flight by hand, so it is registered before the waiter
+	// arrives and stays in flight until filled below.
+	_, fl, lead := c.acquire("k")
+	if !lead {
+		t.Fatal("first acquire did not lead")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.Do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+	if _, err := do(ctx, c, "k", time.Minute, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter got %v, want context.Canceled", err)
 	}
-	close(release)
+	c.fill("k", fl, "late", 1, time.Minute, nil)
 }
 
 func TestFlightGroupLateCallerAttachesToRunningExecution(t *testing.T) {
-	var dups, calls atomic.Int64
-	g := newFlightGroup(func() { dups.Add(1) })
+	c, inst := newTestCache(1<<20, newFakeClock())
+	dups := inst.Coalesced
+	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
 	fn := func() (any, error) {
@@ -141,7 +149,7 @@ func TestFlightGroupLateCallerAttachesToRunningExecution(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if v, err := g.Do(context.Background(), "k", fn); err != nil || v.(string) != "slow" {
+		if v, err := do(context.Background(), c, "k", time.Minute, fn); err != nil || v.(string) != "slow" {
 			t.Errorf("leader got (%v, %v)", v, err)
 		}
 	}()
@@ -151,14 +159,14 @@ func TestFlightGroupLateCallerAttachesToRunningExecution(t *testing.T) {
 		defer wg.Done()
 		// Arriving after the execution began, this caller must attach to
 		// it instead of starting a second one.
-		if v, err := g.Do(context.Background(), "k", fn); err != nil || v.(string) != "slow" {
+		if v, err := do(context.Background(), c, "k", time.Minute, fn); err != nil || v.(string) != "slow" {
 			t.Errorf("late caller got (%v, %v)", v, err)
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for dups.Load() != 1 {
+	for dups.Value() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("dups = %d after 5s, want 1", dups.Load())
+			t.Fatalf("dups = %v after 5s, want 1", dups.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -170,31 +178,79 @@ func TestFlightGroupLateCallerAttachesToRunningExecution(t *testing.T) {
 	}
 }
 
-// TestLeaderPeeksCacheBeforeComputing covers the miss→attach gap: a query
-// misses the cache, the flight that was computing its key then fills the
-// cache and unregisters, and the query leads a new flight. The leader's
-// peek must return the cached answer without a computation and without
-// counting a second hit or miss.
+// TestLeaderPeeksCacheBeforeComputing covers the miss→attach gap: a flight
+// must fill the cache before it releases its waiters, so once any query
+// holds the answer, the next query for the key is a hit and nothing is
+// computed twice.
 func TestLeaderPeeksCacheBeforeComputing(t *testing.T) {
-	srv, _ := newTestServer(t, nil, nil)
-	q := querySpec{method: MethodFairCO2, start: 0, end: 6, tenant: -1}
-	st := srv.snapshot()
-	key := q.cacheKey(st.fp)
-	cached := &answer{Method: q.method, Start: q.start, End: q.end}
-	srv.cache.put(key, cached, cached.sizeBytes(key), time.Minute)
+	gated := newGatedMethod(attribution.GroundTruth{Parallelism: 1})
+	srv, _ := newTestServer(t, nil, func(c *Config) {
+		c.Methods = map[string]attribution.Method{"gated": gated}
+	})
+	q := querySpec{method: "gated", start: 0, end: 6, tenant: -1}
+	key := q.cacheKey(srv.snapshot().fp)
 
-	v, err := srv.flights.Do(context.Background(), key, func() (any, error) { return srv.lead(st, q, key) })
+	waiter := make(chan *answer, 1)
+	go func() {
+		a, err := srv.resolve(context.Background(), q)
+		if err != nil {
+			t.Error(err)
+		}
+		waiter <- a
+	}()
+	<-gated.started
+	close(gated.release)
+	first := <-waiter
+	if v, ok := srv.cache.peek(key); !ok || v.(*answer) != first {
+		t.Fatalf("peek right after the flight answered = (%v, %v), want the computed answer", v, ok)
+	}
+
+	again, err := srv.resolve(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(*answer) != cached {
-		t.Errorf("leader returned %+v, want the cached answer", v)
+	if again != first {
+		t.Errorf("query after the fill returned %+v, want the cached answer", again)
 	}
-	if got := srv.inst.Computations.With(q.method).Value(); got != 0 {
-		t.Errorf("computations = %v, want 0", got)
+	if got := srv.inst.Computations.With(q.method).Value(); got != 1 {
+		t.Errorf("computations = %v, want 1", got)
 	}
-	if hits, misses := srv.inst.CacheHits.Value(), srv.inst.CacheMisses.Value(); hits != 0 || misses != 0 {
-		t.Errorf("peek counted hits=%v misses=%v, want 0 and 0", hits, misses)
+	if hits, misses := srv.inst.CacheHits.Value(), srv.inst.CacheMisses.Value(); hits != 1 || misses != 1 {
+		t.Errorf("hits=%v misses=%v, want 1 and 1", hits, misses)
+	}
+}
+
+// TestCachePutOverInFlightKey: a delta commit's put over a key that a
+// query is computing is visible to peek at once; the flight still answers
+// its waiters, but its result no longer replaces the put value.
+func TestCachePutOverInFlightKey(t *testing.T) {
+	c, inst := newTestCache(1<<20, newFakeClock())
+	_, fl, lead := c.acquire("k")
+	if !lead {
+		t.Fatal("first acquire did not lead")
+	}
+	_, waitFl, _ := c.acquire("k")
+	if waitFl != fl {
+		t.Fatal("second acquire did not attach to the flight")
+	}
+
+	c.put("k", "warm", 10, time.Minute)
+	if v, ok := c.peek("k"); !ok || v.(string) != "warm" {
+		t.Fatalf("peek after put = (%v, %v), want (warm, true)", v, ok)
+	}
+
+	c.fill("k", fl, "computed", 10, time.Minute, nil)
+	if v, err := waitFl.wait(context.Background()); err != nil || v.(string) != "computed" {
+		t.Errorf("waiter got (%v, %v), want (computed, nil)", v, err)
+	}
+	if v, ok := c.peek("k"); !ok || v.(string) != "warm" {
+		t.Errorf("peek after the stale fill = (%v, %v), want (warm, true)", v, ok)
+	}
+	if entries, bytes := c.stats(); entries != 1 || bytes != 10 {
+		t.Errorf("stats = (%d, %d), want (1, 10)", entries, bytes)
+	}
+	if got := inst.Coalesced.Value(); got != 1 {
+		t.Errorf("coalesced = %v, want 1", got)
 	}
 }
 
@@ -234,8 +290,9 @@ func TestTimedOutQueryStillFillsCache(t *testing.T) {
 }
 
 // The four tests below keep the names of the deleted batch window suite. The
-// window is gone: a cold query now goes cache → flight group → engine, and
-// each test checks the same property through Server.resolve.
+// window is gone: a cold query now goes from its cache miss straight to the
+// key's flight, and each test checks the same property through
+// Server.resolve.
 
 func TestBatcherMergesWindowedQueries(t *testing.T) {
 	gated := newGatedMethod(attribution.GroundTruth{Parallelism: 1})

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -302,13 +303,15 @@ func TestDeltaCommitWarmsCacheBeforePublishing(t *testing.T) {
 	methods := []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional}
 	var stop atomic.Bool
 	var seen, missing atomic.Int64
-	done := make(chan struct{})
+	ready, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		last := srv.snapshot().fp
+		close(ready)
 		for !stop.Load() {
 			st := srv.snapshot()
 			if st.fp == last {
+				runtime.Gosched()
 				continue
 			}
 			last = st.fp
@@ -321,6 +324,11 @@ func TestDeltaCommitWarmsCacheBeforePublishing(t *testing.T) {
 			}
 		}
 	}()
+	// The reader holds its baseline before the first commit, and both
+	// sides yield, so the two interleave even when they share one P (as
+	// under a GC cycle on two CPUs); otherwise all 200 commits can land
+	// before the reader runs at all.
+	<-ready
 	for i := 0; i < 200; i++ {
 		// Distinct cores on every commit, so each one publishes a
 		// never-seen fingerprint.
@@ -328,6 +336,7 @@ func TestDeltaCommitWarmsCacheBeforePublishing(t *testing.T) {
 		if _, code, err := srv.applyDelta(req); err != nil {
 			t.Fatalf("commit %d: status %d: %v", i, code, err)
 		}
+		runtime.Gosched()
 	}
 	stop.Store(true)
 	<-done

@@ -88,8 +88,8 @@ func (q querySpec) cacheKey(fp uint32) string {
 // CanonicalQueryKey parses r exactly as the GET query endpoints do and
 // returns the computation identity it resolves to — the result-cache key.
 // The cluster proxy routes on this key: identical queries route to one
-// owner, whose cache + singleflight then guarantee the computation runs
-// at most once cluster-wide.
+// owner, whose result table then guarantees the computation runs at
+// most once cluster-wide.
 func (s *Server) CanonicalQueryKey(r *http.Request) (string, error) {
 	q, err := s.parseQuery(r)
 	if err != nil {

@@ -39,8 +39,6 @@ type Config struct {
 
 	// CacheBytes bounds the result cache (default 8 MiB).
 	CacheBytes int64
-	// CacheShards is rounded up to a power of two (default 16).
-	CacheShards int
 	// CacheTTL is the lifetime of a result priced against a fresh signal,
 	// or any result when no signal is configured (default 5m).
 	CacheTTL time.Duration
@@ -93,7 +91,6 @@ func DefaultConfig() Config {
 	return Config{
 		EnableDelta:    true,
 		CacheBytes:     8 << 20,
-		CacheShards:    16,
 		CacheTTL:       5 * time.Minute,
 		DegradedTTL:    15 * time.Second,
 		QueryTimeout:   30 * time.Second,
@@ -107,9 +104,6 @@ func withDefaults(cfg Config) Config {
 	def := DefaultConfig()
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = def.CacheBytes
-	}
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = def.CacheShards
 	}
 	if cfg.CacheTTL == 0 {
 		cfg.CacheTTL = def.CacheTTL
@@ -141,8 +135,8 @@ func (cfg Config) validate() error {
 		return errors.New("attrserver: nil schedule")
 	case cfg.Budget <= 0:
 		return errors.New("attrserver: budget must be positive")
-	case cfg.CacheBytes < 0, cfg.CacheShards < 0:
-		return errors.New("attrserver: cache knobs must be non-negative")
+	case cfg.CacheBytes < 0:
+		return errors.New("attrserver: cache bytes must be non-negative")
 	case cfg.CacheTTL < 0, cfg.DegradedTTL < 0, cfg.QueryTimeout < 0:
 		return errors.New("attrserver: durations must be non-negative")
 	case cfg.PricePerTonne < 0:
@@ -169,7 +163,6 @@ type Server struct {
 	reg     *metrics.Registry
 	inst    *Instruments
 	cache   *resultCache
-	flights *flightGroup
 	methods map[string]attribution.Method
 	state   atomic.Pointer[schedState]
 	health  atomic.Value // string; empty = HealthOK
@@ -201,8 +194,7 @@ func New(cfg Config, reg *metrics.Registry) (*Server, error) {
 		cfg:     cfg,
 		reg:     reg,
 		inst:    inst,
-		cache:   newResultCache(cfg.CacheBytes, cfg.CacheShards, cfg.Now, inst),
-		flights: newFlightGroup(func() { inst.Coalesced.Inc() }),
+		cache:   newResultCache(cfg.CacheBytes, cfg.Now, inst),
 		started: cfg.Now(),
 		methods: map[string]attribution.Method{
 			MethodGroundTruth:        attribution.GroundTruth{Parallelism: cfg.Parallelism},
@@ -246,48 +238,48 @@ func (a *answer) sizeBytes(key string) int64 {
 	return int64(len(key)+len(a.Method)+len(a.Quality)) + int64(len(a.IDs))*24 + fixed
 }
 
-// resolve answers a query from the cache, or on a miss through the flight
-// group, which folds concurrent identical misses into one computation.
-// Waiting is bounded by ctx; a computation, once started, always finishes
-// and fills the cache.
+// resolve answers a query from the result cache. A miss either attaches
+// to the computation already in flight for its key or leads a new one,
+// which runs in its own goroutine: waiting is bounded by ctx, but a
+// computation, once started, always finishes and fills the cache.
 func (s *Server) resolve(ctx context.Context, q querySpec) (*answer, error) {
 	st := s.snapshot()
 	key := q.cacheKey(st.fp)
-	if v, ok := s.cache.get(key); ok {
+	v, fl, lead := s.cache.acquire(key)
+	if fl == nil {
 		return v.(*answer), nil
 	}
-	v, err := s.flights.Do(ctx, key, func() (any, error) { return s.lead(st, q, key) })
+	if lead {
+		go func() {
+			ans, ttl, err := s.compute(st, q)
+			var size int64
+			if err == nil {
+				size = ans.sizeBytes(key)
+			}
+			s.cache.fill(key, fl, ans, size, ttl, err)
+		}()
+	}
+	v, err := fl.wait(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return v.(*answer), nil
 }
 
-// lead is a flight leader's work. A flight for key can finish, fill the
-// cache and unregister between a query's cache miss and its Do call; that
-// query then leads a new flight, and the peek hands it the cached result
-// instead of computing it twice. The peek counts no hit or miss, since the
-// query's lookup was already counted as a miss.
-func (s *Server) lead(st *schedState, q querySpec, key string) (any, error) {
-	if v, ok := s.cache.peek(key); ok {
-		return v, nil
-	}
-	return s.compute(st, q, key)
-}
-
-// compute runs one attribution over the queried period and caches it.
-func (s *Server) compute(st *schedState, q querySpec, key string) (*answer, error) {
+// compute runs one attribution over the queried period and returns it
+// with the TTL its pricing allows.
+func (s *Server) compute(st *schedState, q querySpec) (*answer, time.Duration, error) {
 	s.inst.Computations.With(q.method).Inc()
 	sub, ids, err := subSchedule(st.sched, q.start, q.end)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	budget, intensity, quality, ttl := s.budgetFor(st, sub, q.start, q.end)
 	grams, err := s.methods[q.method].Attribute(sub, budget)
 	if err != nil {
-		return nil, fmt.Errorf("attrserver: %s over period %d:%d: %w", q.method, q.start, q.end, err)
+		return nil, 0, fmt.Errorf("attrserver: %s over period %d:%d: %w", q.method, q.start, q.end, err)
 	}
-	ans := &answer{
+	return &answer{
 		Method:     q.method,
 		Start:      q.start,
 		End:        q.end,
@@ -297,9 +289,7 @@ func (s *Server) compute(st *schedState, q querySpec, key string) (*answer, erro
 		ComputedAt: s.cfg.Now(),
 		IDs:        ids,
 		Grams:      grams,
-	}
-	s.cache.put(key, ans, ans.sizeBytes(key), ttl)
-	return ans, nil
+	}, ttl, nil
 }
 
 // budgetFor prices a period and picks the TTL its result may live for.

@@ -23,8 +23,8 @@
 //     admits, routes, and either serves locally or forwards exactly one
 //     hop to the owner (the X-FairCO2-Forwarded header is the loop guard —
 //     a forwarded request that lands on a non-owner answers 421, never
-//     re-forwards). Owner-side, the existing result cache and
-//     singleflight compose per shard, so identical queries cost one
+//     re-forwards). Owner-side, the replica's result table holds each
+//     key's cached or in-flight answer, so identical queries cost one
 //     computation cluster-wide. Committed demand deltas apply at the owner
 //     and replicate synchronously to every peer (workload replacements
 //     commute, so replicas converge), keeping each replica's cache warm

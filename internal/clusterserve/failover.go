@@ -256,8 +256,9 @@ func (n *Node) forwardDeltaHedged(w http.ResponseWriter, r *http.Request, ring *
 	prev := time.Duration(0)
 	for idx, peer := range cands {
 		if peer == n.id {
-			// We are the next successor: act as owner locally.
-			tenant, commit := deltaIntent(body)
+			// We are the next successor: act as owner locally. The body
+			// already decoded in handleDelta.
+			tenant, commit, _ := deltaIntent(body)
 			n.applyDelta(w, r, body, tenant, commit)
 			return true
 		}
@@ -286,17 +287,16 @@ func (n *Node) forwardDeltaHedged(w http.ResponseWriter, r *http.Request, ring *
 	return false
 }
 
-// deltaIntent extracts a delta body's tenant and commit flag (used when a
-// failover lands the delta on this replica itself).
-func deltaIntent(body []byte) (tenant int, commit bool) {
+// deltaIntent decodes the fields of a delta body that routing and commit
+// ordering need: the tenant and the commit flag. On error they hold
+// whatever decoded, so best-effort callers may still use them.
+func deltaIntent(body []byte) (tenant int, commit bool, err error) {
 	var req struct {
 		Tenant int  `json:"tenant"`
 		Commit bool `json:"commit"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return 0, false
-	}
-	return req.Tenant, req.Commit
+	err = json.Unmarshal(body, &req)
+	return req.Tenant, req.Commit, err
 }
 
 // streamResponse copies a proxied response — headers, status, body — to w.

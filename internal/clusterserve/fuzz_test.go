@@ -1,7 +1,9 @@
 package clusterserve
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -65,4 +67,65 @@ func FuzzRingRoute(f *testing.F) {
 			t.Fatalf("join+leave did not restore owner of %q: %q vs %q", key, got, owner)
 		}
 	})
+}
+
+// FuzzSyncPage fuzzes the /v1/cluster/sync page decoder, the input a
+// catching-up replica takes from its peers:
+//
+//   - total: any body and cursor decode or fail, never a panic;
+//   - advancing: an accepted page echoes the requested cursor and moves it
+//     by exactly its entry count, and claims more only when it carries
+//     entries, so the pull loop can neither stall nor skip commits.
+func FuzzSyncPage(f *testing.F) {
+	// A peer answering this page used to be refetched until the node
+	// stopped: it claims more but never advances the cursor.
+	f.Add([]byte(`{"since":0,"next":0,"more":true,"entries":[]}`), uint64(0))
+	f.Add([]byte(`{"replica":"1","since":3,"next":5,"more":true,"entries":[`+
+		`{"stamp":9,"origin":"1","body":{"tenant":1,"cores":2,"commit":true}},`+
+		`{"stamp":10,"origin":"0","body":{"tenant":2,"commit":true}}]}`), uint64(3))
+	f.Add([]byte(`{"since":7,"next":7,"more":false,"entries":null}`), uint64(7))
+	f.Add([]byte(`{"since":18446744073709551615,"next":0,"entries":[{}]}`), uint64(18446744073709551615))
+	f.Add([]byte(`not json`), uint64(1))
+	f.Fuzz(func(t *testing.T, body []byte, since uint64) {
+		page, err := decodeSyncPage(strings.NewReader(string(body)), since)
+		if err != nil {
+			return
+		}
+		if page.Since != since {
+			t.Fatalf("accepted a page for since=%d when asked since=%d", page.Since, since)
+		}
+		if page.Next-since != uint64(len(page.Entries)) {
+			t.Fatalf("accepted next=%d after since=%d with %d entries", page.Next, since, len(page.Entries))
+		}
+		if page.More && len(page.Entries) == 0 {
+			t.Fatal("accepted an empty page that claims more")
+		}
+	})
+}
+
+func TestDecodeSyncPage(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		body  string
+		since uint64
+		ok    bool
+	}{
+		{"last page", `{"since":2,"next":3,"more":false,"entries":[{"stamp":1}]}`, 2, true},
+		{"more pages", `{"since":0,"next":1,"more":true,"entries":[{"stamp":1}]}`, 0, true},
+		{"caught up", `{"since":4,"next":4,"more":false,"entries":[]}`, 4, true},
+		{"stalled more", `{"since":0,"next":0,"more":true,"entries":[]}`, 0, false},
+		{"wrong since", `{"since":1,"next":2,"entries":[{"stamp":1}]}`, 0, false},
+		{"skips ahead", `{"since":0,"next":5,"entries":[{"stamp":1}]}`, 0, false},
+		{"goes back", `{"since":6,"next":2,"entries":[]}`, 6, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := decodeSyncPage(strings.NewReader(tc.body), tc.since)
+			if tc.ok && err != nil {
+				t.Fatalf("valid page refused: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, errSyncPage) {
+				t.Fatalf("got %v, want errSyncPage", err)
+			}
+		})
+	}
 }

@@ -14,7 +14,7 @@ import (
 // the summed per-replica computation counters equal exactly the number
 // of unique computation keys. Hot keys and cold keys alike compute once,
 // cluster-wide, because routing sends every identical query to one
-// owner whose cache and singleflight absorb the rest.
+// owner whose result table absorbs the rest.
 func TestZeroDuplicateComputationsClusterWide(t *testing.T) {
 	const (
 		requests = 1200

@@ -3,6 +3,7 @@ package clusterserve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -463,9 +464,30 @@ func (m *membership) fetchSync(peer string, since uint64) (*syncResponse, error)
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("clusterserve: sync from %s: status %d", peer, resp.StatusCode)
 	}
+	return decodeSyncPage(resp.Body, since)
+}
+
+// errSyncPage marks a sync page that decodes but breaks the paging
+// contract.
+var errSyncPage = errors.New("clusterserve: malformed sync page")
+
+// decodeSyncPage reads one /v1/cluster/sync page answering a request for
+// the entries after since. A page must echo since, set next to since plus
+// its entry count, and carry entries whenever it claims more. A page that
+// breaks any of these would stall the puller's cursor (a "more" page that
+// never advances is refetched forever) or skip commits, so it is refused.
+func decodeSyncPage(r io.Reader, since uint64) (*syncResponse, error) {
 	var out syncResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r, 16<<20)).Decode(&out); err != nil {
 		return nil, err
+	}
+	switch {
+	case out.Since != since:
+		return nil, fmt.Errorf("%w: asked since=%d, got since=%d", errSyncPage, since, out.Since)
+	case out.Next != since+uint64(len(out.Entries)):
+		return nil, fmt.Errorf("%w: next=%d after since=%d with %d entries", errSyncPage, out.Next, since, len(out.Entries))
+	case out.More && len(out.Entries) == 0:
+		return nil, fmt.Errorf("%w: more set on an empty page", errSyncPage)
 	}
 	return &out, nil
 }

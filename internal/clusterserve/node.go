@@ -422,8 +422,8 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery routes one GET query by its canonical computation key, so
-// identical queries land on one owner whose cache + singleflight dedup
-// them cluster-wide.
+// identical queries land on one owner whose result table dedups them
+// cluster-wide.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	forwarded := r.Header.Get(HeaderForwarded)
 	if forwarded == "" && !n.admitTenant(w, r) {
@@ -546,30 +546,27 @@ func (n *Node) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if forwarded == "" && !n.admitTenant(w, r) {
 		return
 	}
-	var req struct {
-		Tenant int  `json:"tenant"`
-		Commit bool `json:"commit"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	tenant, commit, err := deltaIntent(body)
+	if err != nil {
 		// Malformed body: the local server renders its canonical 400.
 		n.local.ServeHTTP(w, rewound(r, body))
 		return
 	}
 	ring := n.ActiveRing()
-	key := deltaKey(n.cfg.Server.Fingerprint(), req.Tenant)
+	key := deltaKey(n.cfg.Server.Fingerprint(), tenant)
 	owner := ring.Lookup(key)
 	hedged := r.Header.Get(HeaderHedge) != ""
 	if owner == n.id || hedged {
 		// Hedged deltas apply here even when our ring disagrees: the
 		// sender's owner was unreachable, and the per-tenant commit order
 		// makes an acting owner's stamp converge everywhere.
-		n.applyDelta(w, r, body, req.Tenant, req.Commit)
+		n.applyDelta(w, r, body, tenant, commit)
 		return
 	}
 	if forwarded != "" {
 		n.inst.Misrouted.Inc()
 		writeError(w, http.StatusMisdirectedRequest, fmt.Errorf(
-			"clusterserve: replica %s does not own tenant %d deltas (owner %s, forwarded by %s)", n.id, req.Tenant, owner, forwarded))
+			"clusterserve: replica %s does not own tenant %d deltas (owner %s, forwarded by %s)", n.id, tenant, owner, forwarded))
 		return
 	}
 	if !n.forwardDeltaHedged(w, r, ring, key, body) {
@@ -615,19 +612,16 @@ func (n *Node) applyDelta(w http.ResponseWriter, r *http.Request, body []byte, t
 // is what keeps mutual catch-up pulls from amplifying each other). The
 // clock still advances past every stamp seen.
 func (n *Node) applyReplicated(stamp uint64, origin string, body []byte) (bool, *bufferedResponse) {
-	var req struct {
-		Tenant int `json:"tenant"`
-	}
 	// Best-effort: a malformed body fails at the attrserver with its
 	// canonical 400 below.
-	_ = json.Unmarshal(body, &req)
+	tenant, _, _ := deltaIntent(body)
 	rec := &bufferedResponse{header: http.Header{}}
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
 	if stamp > n.lamport {
 		n.lamport = stamp
 	}
-	if mark, ok := n.lastCommit[req.Tenant]; ok && !mark.before(stamp, origin) {
+	if mark, ok := n.lastCommit[tenant]; ok && !mark.before(stamp, origin) {
 		writeJSON(rec, http.StatusOK, map[string]any{"committed": true, "superseded": true})
 		return false, rec
 	}
@@ -639,7 +633,7 @@ func (n *Node) applyReplicated(stamp uint64, origin string, body []byte) (bool, 
 	r.Header.Set("Content-Type", "application/json")
 	n.local.ServeHTTP(rec, r)
 	if rec.status == http.StatusOK {
-		n.lastCommit[req.Tenant] = commitMark{stamp: stamp, origin: origin}
+		n.lastCommit[tenant] = commitMark{stamp: stamp, origin: origin}
 		n.clog.Append(CommitEntry{Stamp: stamp, Origin: origin, Body: body})
 		return true, rec
 	}

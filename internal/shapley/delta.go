@@ -3,6 +3,7 @@ package shapley
 import (
 	"context"
 	"math/bits"
+	"runtime/debug"
 	"time"
 
 	"fairco2/internal/checkpoint"
@@ -149,7 +150,9 @@ func (t *DeltaTable) checkChanged(changed uint64) error {
 // apply allocation-free. The subcube set does not depend on the worker
 // count, so the result is deterministic for any parallelism (and
 // bitwise-equal to a fresh build for games with exact add/remove
-// arithmetic).
+// arithmetic). A panicking game returns a *WorkerPanicError for any worker
+// count. After any error the table and fingerprints may be half-patched:
+// re-apply on the same changed mask before reading them.
 func (t *DeltaTable) Apply(changed uint64, g Game, workers int) (DeltaStats, error) {
 	if g == nil {
 		return DeltaStats{}, ErrNilGame
@@ -167,19 +170,13 @@ func (t *DeltaTable) Apply(changed uint64, g Game, workers int) (DeltaStats, err
 	workers = min(resolveWorkers(workers), t.blocks)
 	highChanged := changed >> uint(t.low)
 	var busy time.Duration
+	var err error
 	if workers == 1 {
-		// Inlined (closure-free) so the steady-state serial apply stays
-		// allocation-free.
-		add, remove, value := g()
-		if add == nil || remove == nil || value == nil {
-			return DeltaStats{}, ErrNilGame
-		}
 		s := time.Now()
-		t.applyRange(0, t.blocks, 0, highChanged, subs, add, remove, value, t.crcBuf)
+		err = t.applySerial(g, highChanged, subs)
 		busy = time.Since(s)
 	} else {
 		errs := make([]error, workers)
-		var err error
 		busy, err = runWorkers(workers, func(w int) {
 			add, remove, value := g()
 			if add == nil || remove == nil || value == nil {
@@ -194,15 +191,32 @@ func (t *DeltaTable) Apply(changed uint64, g Game, workers int) (DeltaStats, err
 				err = e
 			}
 		}
-		if err != nil {
-			t.gatherStats(workers) // reset the per-worker slots
-			return DeltaStats{}, err
-		}
+	}
+	if err != nil {
+		t.gatherStats(workers) // reset the per-worker slots
+		return DeltaStats{}, err
 	}
 	stats := t.gatherStats(workers)
 	t.observe(stats)
 	observeParallel("delta-apply", workers, time.Since(start), busy)
 	return stats, nil
+}
+
+// applySerial is the one-worker apply. It recovers a panicking game into a
+// *WorkerPanicError as runWorkers does, but without runWorkers' closure,
+// so the steady-state serial apply stays allocation-free.
+func (t *DeltaTable) applySerial(g Game, highChanged uint64, subs int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &WorkerPanicError{Worker: 0, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	add, remove, value := g()
+	if add == nil || remove == nil || value == nil {
+		return ErrNilGame
+	}
+	t.applyRange(0, t.blocks, 0, highChanged, subs, add, remove, value, t.crcBuf)
+	return nil
 }
 
 // applyRange runs the delta over blocks [blo, bhi) with one game's state,

@@ -42,6 +42,16 @@ func TestWorkerPanicIsolation(t *testing.T) {
 				return BuildGameTable(context.Background(), 6, newPanicGame, workers,
 					checkpoint.Spec{Dir: t.TempDir(), Every: 1})
 			}},
+			{"DeltaTable.Apply", func() ([]float64, error) {
+				dt, err := NewDeltaTable(6, setGame(func(m uint64) float64 { return float64(m) }), workers)
+				if err != nil {
+					return nil, err
+				}
+				if _, err := dt.Apply(1, newPanicGame, workers); err != nil {
+					return nil, err
+				}
+				return dt.Table(), nil
+			}},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
